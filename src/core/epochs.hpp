@@ -76,9 +76,9 @@ std::vector<EpochOutcome> epochal_synchronize(
 /// Same contract and (to float tolerance) same results as
 /// epochal_synchronize, but epoch k+1 reuses epoch k's APSP closure via a
 /// delta-aware update and warm-starts Howard's policy iteration from epoch
-/// k's policy (when options.sync.cycle_mean is kHoward).  Consecutive
-/// epoch cuts differ in few m̃ls edges, so this is the fast path for long
-/// boundary sequences; BENCH_pipeline.json tracks the speedup.
+/// k's policy.  Consecutive epoch cuts differ in few m̃ls edges, so this is
+/// the fast path for long boundary sequences; BENCH_pipeline.json tracks
+/// the speedup.
 /// options.sync.metrics additionally receives per-epoch stage timings and
 /// incremental-vs-rebuild hit counters.
 std::vector<EpochOutcome> epochal_synchronize_incremental(

@@ -57,15 +57,13 @@ SyncOutcome IncrementalSynchronizer::step_mls(Digraph mls_graph) {
 
   ShiftsOptions shift_options;
   shift_options.root = options_.root;
-  shift_options.algorithm = options_.cycle_mean;
   shift_options.metrics = metrics;
   shift_options.arena = &shifts_arena_;
   shift_options.threads = options_.threads;
-  if (options_.cycle_mean == CycleMeanAlgorithm::kHoward &&
-      policy_.size() == out.mls_graph.node_count())
+  if (policy_.size() == out.mls_graph.node_count())
     shift_options.warm_policy = &policy_;
   ShiftsResult shifts = compute_shifts(out.ms_estimates, shift_options);
-  policy_ = shifts.policy;  // empty under Karp: next step stays cold
+  policy_ = std::move(shifts.policy);
 
   out.corrections = std::move(shifts.corrections);
   out.optimal_precision = shifts.a_max;

@@ -12,8 +12,7 @@
 //     falling back to a full Johnson rebuild only when the m̃ls delta is
 //     large or the node set changed;
 //   * Howard's policy iteration warm-starts from the previous epoch's
-//     optimal policy (graph/cycle_mean.hpp) when SyncOptions::cycle_mean is
-//     kHoward.
+//     optimal policy (graph/cycle_mean.hpp).
 //
 // Results are equivalent to synchronize() up to float tolerance — enforced
 // by the 200-sequence property test in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/pool.hpp"
@@ -22,61 +23,65 @@ Digraph finite_ms_graph(const DistanceMatrix& ms) {
   return g;
 }
 
-/// Corrections within one component: Bellman–Ford distances from the
-/// component root under weights (a_max - m̃s), relaxed with a tolerance of
-/// tolerance_scale * max(1, |a_max|) per step — the same epsilon semantics
-/// as bellman_ford(g, s, epsilon), run directly on the matrix so the hot
-/// epoch path skips materializing the complete component digraph.  The
-/// max-mean cycle has weight exactly 0 mathematically, so any surviving
-/// negative cycle beyond that tolerance proves the m̃s matrix inconsistent.
-void component_corrections(const DistanceMatrix& ms,
-                           const std::vector<NodeId>& members, NodeId root,
-                           double a_max, double tolerance_scale,
-                           std::vector<double>& corrections,
-                           EpochArena& arena) {
-  const std::size_t k = members.size();
-  if (k == 1) {
-    corrections[members[0]] = 0.0;
-    return;
-  }
-  const double epsilon = tolerance_scale * std::max(1.0, std::fabs(a_max));
+/// Thm 4.6 corrections within one component of k >= 2 members: distances
+/// from `root` under w(i,j) = a_max − ms(i,j) over the compacted block
+/// `ms` (row-major k x k).  One dense Dijkstra on the Johnson reweighting
+/// w(i,j) + v_i − v_j >= 0, Howard's converged value vector v being the
+/// potential: nodes settle in order of the reduced key dist − v, while the
+/// distances themselves accumulate in w, so each is the float sum of w
+/// along its shortest-path tree path.  O(k²).
+std::span<double> shortest_path_corrections(const double* ms, std::size_t k,
+                                            std::size_t root, double a_max,
+                                            std::span<const double> v,
+                                            EpochArena& arena) {
   std::span<double> dist = arena.alloc_fill<double>(k, kInfDist);
-  for (std::size_t i = 0; i < k; ++i)
-    if (members[i] == root) dist[i] = 0.0;
-
-  // Up to k sweeps with early exit: k-1 relaxation sweeps settle all
-  // distances absent negative cycles, so a k-th sweep that still improves
-  // beyond epsilon is the detection sweep firing.
-  bool changed = true;
-  for (std::size_t sweep = 0; sweep < k && changed; ++sweep) {
-    changed = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double di = dist[i];
-      if (!(di < kInfDist)) continue;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (i == j) continue;
-        const double cand = di + a_max - ms.at(members[i], members[j]);
-        if (cand < dist[j] - epsilon) {
-          dist[j] = cand;
-          changed = true;
-        }
+  std::span<std::uint8_t> settled = arena.alloc_fill<std::uint8_t>(k, 0);
+  dist[root] = 0.0;
+  for (std::size_t u = root; u < k;) {
+    settled[u] = 1;
+    const double du = dist[u];
+    const double* row = ms + u * k;
+    std::size_t next = k;
+    double next_key = kInfDist;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (settled[j] != 0) continue;
+      const double cand = du + a_max - row[j];
+      if (cand < dist[j]) dist[j] = cand;
+      const double key = dist[j] - v[j];
+      if (key < next_key) {
+        next_key = key;
+        next = j;
       }
     }
+    u = next;
   }
-  if (changed)
-    throw Error(
-        "SHIFTS: negative cycle under w = a_max - m̃s beyond the float "
-        "tolerance; m̃s matrix is inconsistent");
+  return dist;
+}
+
+/// The Thm 4.6 certificate for one component: ρ̄(x) = max m̃s(i,j) − x_i +
+/// x_j must not exceed a_max beyond `epsilon`.  Thm 4.4 gives ρ̄(x) >=
+/// A^max for any x, so passing also certifies that a_max is the maximum
+/// cycle mean to within epsilon.  The negated comparison catches NaN.
+void check_certificate(const double* ms, std::size_t k,
+                       std::span<const double> x, double a_max,
+                       double epsilon, const std::vector<NodeId>& members) {
+  const double bound = a_max + epsilon;
   for (std::size_t i = 0; i < k; ++i) {
-    // Every member is reachable from the root in one hop of the complete
-    // component graph, so a non-finite distance means the matrix carried a
-    // non-finite entry (e.g. NaN from a broken estimator) — refuse to emit
-    // garbage corrections.
-    if (!(dist[i] < kInfDist) || std::isnan(dist[i]))
-      throw Error(
-          "SHIFTS: non-finite correction distance inside a finiteness "
-          "component; m̃s matrix carries non-finite entries");
-    corrections[members[i]] = dist[i];
+    const double* row = ms + i * k;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (i == j) continue;
+      const double skew = row[j] - x[i] + x[j];
+      if (!(skew <= bound)) {
+        std::ostringstream msg;
+        msg.precision(17);
+        msg << "SHIFTS: Thm 4.6 certificate failed: m̃s(" << members[i]
+            << ", " << members[j] << ") - x_p + x_q = " << skew
+            << " exceeds Ã^max = " << a_max << " by more than the float "
+            << "tolerance " << epsilon
+            << "; m̃s matrix is inconsistent";
+        throw Error(msg.str());
+      }
+    }
   }
 }
 
@@ -92,8 +97,8 @@ NodeId warm_local_index(const std::vector<NodeId>& members,
   return static_cast<NodeId>(it - members.begin());
 }
 
-/// Solves one finiteness component: dense max cycle mean over the compacted
-/// k x k m̃s block, then matrix Bellman–Ford corrections.  Writes only this
+/// Solves one finiteness component: Howard over the compacted k x k m̃s
+/// block, then the Dijkstra corrections on its potential.  Writes only this
 /// component's slices of `res` (disjoint across components), so components
 /// may be solved concurrently with byte-identical output.
 void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
@@ -101,66 +106,69 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
                      ShiftsResult& res, EpochArena& arena) {
   const std::size_t n = ms.size();
   const std::size_t k = members.size();
-  double a_max_c = 0.0;
-  if (k > 1) {
-    // Max mean cycle within the component.  The m̃s entries between
-    // component members are all finite (strong connectivity of the finite
-    // graph + the matrix being a shortest-path closure); compact them into
-    // a dense block so the kernels run off flat rows.
-    std::span<double> w = arena.alloc<double>(k * k);
-    for (std::size_t i = 0; i < k; ++i) {
-      double* wi = w.data() + i * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (i == j) {
-          wi[j] = 0.0;
-          continue;
-        }
-        const double ms_ij = ms.at(members[i], members[j]);
-        if (ms_ij == kInfDist)
-          throw Error(
-              "compute_shifts: m̃s matrix is not a shortest-path "
-              "closure (finite component with infinite entry)");
-        wi[j] = ms_ij;
+  if (k == 1) {
+    res.corrections[members[0]] = 0.0;
+    return;
+  }
+  // The m̃s entries between component members are all finite (strong
+  // connectivity of the finite graph + the matrix being a shortest-path
+  // closure); compact them into a dense block so the kernels run off flat
+  // rows.
+  std::span<double> w = arena.alloc<double>(k * k);
+  for (std::size_t i = 0; i < k; ++i) {
+    double* wi = w.data() + i * k;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (i == j) {
+        wi[j] = 0.0;
+        continue;
       }
-    }
-    if (options.algorithm == CycleMeanAlgorithm::kKarp) {
-      a_max_c = max_cycle_mean_karp_dense(w.data(), k, arena);
-    } else {
-      // Warm policy mapped into the component's local indices; entries
-      // pointing outside this component fall back to greedy.
-      std::span<NodeId> warm_local;
-      if (options.warm_policy != nullptr && options.warm_policy->size() == n) {
-        warm_local = arena.alloc<NodeId>(k);
-        for (std::size_t i = 0; i < k; ++i)
-          warm_local[i] = warm_local_index(
-              members, res.components, c, (*options.warm_policy)[members[i]],
-              n);
-      }
-      std::span<NodeId> policy_local = arena.alloc<NodeId>(k);
-      const HowardDenseResult hr = max_cycle_mean_howard_dense(
-          w.data(), k, warm_local, policy_local, arena, options.metrics);
-      if (!hr.converged) {
-        // Reported through metrics above; without a sink this must not
-        // pass silently (the mean may undershoot and poison corrections).
-        if (options.metrics == nullptr)
-          throw Error(
-              "compute_shifts: Howard iteration exited on its backstop "
-              "without converging");
-      }
-      a_max_c = hr.mean;
-      for (std::size_t i = 0; i < k; ++i)
-        res.policy[members[i]] = members[policy_local[i]];
+      const double ms_ij = ms.at(members[i], members[j]);
+      if (ms_ij == kInfDist)
+        throw Error(
+            "compute_shifts: m̃s matrix is not a shortest-path "
+            "closure (finite component with infinite entry)");
+      wi[j] = ms_ij;
     }
   }
-  res.component_a_max[c] = a_max_c;
+  // Warm policy mapped into the component's local indices; entries
+  // pointing outside this component fall back to greedy.
+  std::span<NodeId> warm_local;
+  if (options.warm_policy != nullptr && options.warm_policy->size() == n) {
+    warm_local = arena.alloc<NodeId>(k);
+    for (std::size_t i = 0; i < k; ++i)
+      warm_local[i] = warm_local_index(
+          members, res.components, c, (*options.warm_policy)[members[i]], n);
+  }
+  std::span<NodeId> policy_local = arena.alloc<NodeId>(k);
+  const HowardDenseResult hr = max_cycle_mean_howard_dense(
+      w.data(), k, warm_local, policy_local, arena, options.metrics);
+  // The kernel has already counted the exit in metrics; an unconverged
+  // mean may undershoot and its values are no potential, so it never
+  // reaches the corrections.
+  if (!hr.converged)
+    throw Error(
+        "compute_shifts: Howard iteration exited on its backstop "
+        "without converging");
+  const double a_max = hr.mean;
+  res.component_a_max[c] = a_max;
+  for (std::size_t i = 0; i < k; ++i)
+    res.policy[members[i]] = members[policy_local[i]];
 
   // Per-component root: the global root if it lives here, else the
   // smallest member (gauge choice only).
-  const NodeId comp_root =
-      (res.components.component[options.root] == c) ? options.root
-                                                    : members.front();
-  component_corrections(ms, members, comp_root, a_max_c,
-                        options.tolerance_scale, res.corrections, arena);
+  const std::size_t root =
+      (res.components.component[options.root] == c)
+          ? static_cast<std::size_t>(
+                std::lower_bound(members.begin(), members.end(),
+                                 options.root) -
+                members.begin())
+          : 0;
+  const std::span<const double> x =
+      shortest_path_corrections(w.data(), k, root, a_max, hr.value, arena);
+  check_certificate(w.data(), k, x, a_max,
+                    options.tolerance_scale * std::max(1.0, std::fabs(a_max)),
+                    members);
+  for (std::size_t i = 0; i < k; ++i) res.corrections[members[i]] = x[i];
 }
 
 }  // namespace
@@ -200,8 +208,7 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   }
   const auto groups = res.components.members();
   res.component_a_max.assign(groups.size(), 0.0);
-  if (options.algorithm == CycleMeanAlgorithm::kHoward)
-    res.policy.assign(n, kNoPolicyEdge);
+  res.policy.assign(n, kNoPolicyEdge);
 
   const bool bounded = groups.size() == 1;
 
@@ -234,11 +241,9 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   return res;
 }
 
-ShiftsResult compute_shifts(const DistanceMatrix& ms, NodeId root,
-                            CycleMeanAlgorithm algorithm) {
+ShiftsResult compute_shifts(const DistanceMatrix& ms, NodeId root) {
   ShiftsOptions options;
   options.root = root;
-  options.algorithm = algorithm;
   return compute_shifts(ms, options);
 }
 

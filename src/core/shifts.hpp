@@ -3,10 +3,15 @@
 // Inputs: the matrix of estimated maximal global shifts m̃s(p, q).
 // Outputs: the optimal corrections and their precision Ã^max = A^max.
 //
-//   1. Ã^max = maximum mean cycle of the shift graph (Karp).
-//   2. correction(p) = dist_w(root, p) under w(p,q) = Ã^max - m̃s(p,q)
-//      (Bellman–Ford: weights may be negative; Theorem 4.6 guarantees no
-//      negative cycles).
+//   1. Ã^max = maximum mean cycle of the shift graph, by Howard's policy
+//      iteration; its converged value vector v is a feasible potential,
+//      v_q − v_p <= Ã^max − m̃s(p,q) for every pair.
+//   2. correction(p) = dist_w(root, p) under w(p,q) = Ã^max − m̃s(p,q), by
+//      one dense Dijkstra on the reweighting w(p,q) + v_p − v_q >= 0, then
+//      checked against the Thm 4.6 certificate ρ̄(x) <= Ã^max.
+//
+// On a component of k processors, step 1 costs O(k²) per Howard iteration
+// and step 2 O(k²) in all; the argument is in docs/THEORY.md.
 //
 // Unbounded instances: if some pair's m̃s is +inf, A^max = +inf — no finite
 // precision can be guaranteed across that pair (§3's motivation).  SHIFTS
@@ -43,44 +48,42 @@ struct ShiftsResult {
   /// Optimal precision within each component (0 for singletons).
   std::vector<double> component_a_max;
 
-  /// Howard policy (successor per processor, kNoPolicyEdge where none) when
-  /// the Howard algorithm ran; empty under Karp.  Feed back through
-  /// ShiftsOptions::warm_policy on the next epoch.
+  /// Howard policy: successor per processor, kNoPolicyEdge on singleton
+  /// components.  Feed back through ShiftsOptions::warm_policy on the next
+  /// epoch.
   std::vector<NodeId> policy;
 
   bool bounded() const { return a_max.is_finite(); }
 };
-
-/// Which maximum-cycle-mean algorithm drives step 1.  Karp is the paper's
-/// prescription and the default; Howard's policy iteration is measurably
-/// faster on large dense instances (bench E8a) with identical results.
-enum class CycleMeanAlgorithm { kKarp, kHoward };
 
 struct ShiftsOptions {
   /// Breaks the additive-constant gauge freedom; any root yields corrections
   /// differing by a per-component constant, which does not affect pairwise
   /// precision.
   NodeId root{0};
-  CycleMeanAlgorithm algorithm{CycleMeanAlgorithm::kKarp};
 
-  /// Relative scale of the Bellman–Ford relaxation tolerance in the
-  /// corrections step: epsilon = tolerance_scale * max(1, |Ã^max|).  The
-  /// max-mean cycle has weight exactly 0 under w = Ã^max − m̃s, so float
-  /// rounding can manufacture cycles of weight ~-1 ulp; the tolerance
-  /// absorbs them in a single principled pass (DESIGN.md "Numeric tolerance
-  /// contract").  Cycles more negative than epsilon still throw.
+  /// Relative scale of the Thm 4.6 certificate tolerance: the corrections x
+  /// of a component must satisfy max m̃s(p,q) − x_p + x_q <= Ã^max +
+  /// tolerance_scale * max(1, |Ã^max|), else compute_shifts throws
+  /// cs::Error (DESIGN.md "Numeric tolerance contract").  The critical
+  /// cycle has weight exactly 0 under w = Ã^max − m̃s, so float rounding
+  /// leaves the certificate a few ulps off; anything beyond the tolerance
+  /// proves the m̃s matrix inconsistent or the cycle mean wrong.
   double tolerance_scale{1e-9};
 
   /// Previous epoch's ShiftsResult::policy to warm-start Howard's policy
-  /// iteration (ignored under Karp; nullptr = cold start).
+  /// iteration (nullptr = cold start).  The corrections do not depend on
+  /// it beyond float rounding: they are shortest-path distances, whichever
+  /// optimal policy Howard stops at.
   const std::vector<NodeId>* warm_policy{nullptr};
 
   /// Optional instrumentation sink (stage timings, Howard iteration counts,
-  /// backstop reports).  nullptr = no instrumentation.
+  /// backstop reports).  nullptr = no instrumentation; results and errors
+  /// are the same either way.
   Metrics* metrics{nullptr};
 
-  /// Scratch arena for the dense cycle-mean kernels and correction
-  /// distances (walk tables, policy/value vectors).  The call reset()s it
+  /// Scratch arena for the dense cycle-mean kernel and correction
+  /// distances (weight block, policy/value vectors).  The call reset()s it
   /// on entry and leaves its allocations dead on exit.  nullptr = the call
   /// uses a private arena (still no per-component heap churn, but capacity
   /// is not retained across epochs).
@@ -96,13 +99,14 @@ struct ShiftsOptions {
 };
 
 /// `ms` is the m̃s matrix from global_shift_estimates (diagonal 0, +inf for
-/// unconstrained pairs).
+/// unconstrained pairs).  Throws cs::Error on malformed input (NaN entries,
+/// a finiteness component that is not a shortest-path closure), when
+/// Howard exits on its iteration backstop, and when the Thm 4.6
+/// certificate fails beyond the tolerance.
 ShiftsResult compute_shifts(const DistanceMatrix& ms,
                             const ShiftsOptions& options);
 
-/// Convenience overload preserving the historical signature.
-ShiftsResult compute_shifts(
-    const DistanceMatrix& ms, NodeId root = 0,
-    CycleMeanAlgorithm algorithm = CycleMeanAlgorithm::kKarp);
+/// Convenience overload: default options with the given root.
+ShiftsResult compute_shifts(const DistanceMatrix& ms, NodeId root = 0);
 
 }  // namespace cs

@@ -78,7 +78,6 @@ SyncOutcome synchronize_mls(Digraph mls_graph, const SyncOptions& options) {
 
   ShiftsOptions shift_options;
   shift_options.root = options.root;
-  shift_options.algorithm = options.cycle_mean;
   shift_options.metrics = options.metrics;
   shift_options.threads = options.threads;
   ShiftsResult shifts = compute_shifts(out.ms_estimates, shift_options);

@@ -27,7 +27,6 @@ struct SyncOptions {
   /// Root processor for the gauge choice (correction of root is 0).
   NodeId root{0};
   ApspAlgorithm apsp{ApspAlgorithm::kJohnson};
-  CycleMeanAlgorithm cycle_mean{CycleMeanAlgorithm::kKarp};
   /// kDropOrphans when the views are epoch-boundary prefixes.
   MatchPolicy match{MatchPolicy::kStrict};
   /// Optional instrumentation sink: per-stage wall-clock timings

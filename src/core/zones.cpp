@@ -212,7 +212,6 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
               global_shift_estimates(sub, options.apsp, nullptr);
           ShiftsOptions so;
           so.root = local[out.plan.leaders[z]];
-          so.algorithm = options.cycle_mean;
           ShiftsResult sr = compute_shifts(ms, so);
 
           ZoneSolve& s = solved[z];
@@ -267,7 +266,6 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
   {
     ShiftsOptions qo;
     qo.root = out.plan.zone_of[options.root];
-    qo.algorithm = options.cycle_mean;
     qo.metrics = options.metrics;
     ShiftsResult qs = compute_shifts(out.quotient_ms, qo);
     out.quotient_a_max = qs.a_max;

@@ -341,48 +341,6 @@ std::optional<double> max_cycle_mean_howard(const Digraph& g) {
   return r.mean;
 }
 
-double max_cycle_mean_karp_dense(const double* w, std::size_t k,
-                                 EpochArena& arena) {
-  assert(k >= 2);
-  // Same walk table as karp_min_on_scc over the NEGATED complete graph
-  // (max mean = -min mean of -w), flattened: d[step*k + v] = min weight of
-  // a walk with exactly `step` arcs from node 0 to v.  The DP is a pure
-  // min-fold, so visiting arcs (i, j) in any order reproduces the
-  // edge-list result bit for bit.
-  std::span<double> d = arena.alloc_fill<double>((k + 1) * k, kInf);
-  d[0] = 0.0;
-  for (std::size_t step = 1; step <= k; ++step) {
-    const std::span<double> prev = d.subspan((step - 1) * k, k);
-    const std::span<double> cur = d.subspan(step * k, k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const double base = prev[i];
-      if (base == kInf) continue;
-      const double* wi = w + i * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (j == i) continue;
-        const double cand = base + (-wi[j]);
-        if (cand < cur[j]) cur[j] = cand;
-      }
-    }
-  }
-
-  double best = kInf;
-  const std::span<double> last = d.subspan(k * k, k);
-  for (std::size_t v = 0; v < k; ++v) {
-    if (last[v] == kInf) continue;
-    double worst = -kInf;
-    for (std::size_t step = 0; step < k; ++step) {
-      const double dv = d[step * k + v];
-      if (dv == kInf) continue;
-      worst = std::max(worst, (last[v] - dv) / static_cast<double>(k - step));
-    }
-    if (worst != -kInf) best = std::min(best, worst);
-  }
-  // A complete graph on k >= 2 nodes is strongly connected and cyclic.
-  assert(best != kInf);
-  return -best;
-}
-
 HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
                                               std::span<const NodeId> warm,
                                               std::span<NodeId> policy,
@@ -470,27 +428,41 @@ HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
     }
 
     // ---- Policy improvement (two-stage, multi-chain) ----
+    // The extreme attractor means decide up front which scans can change
+    // anything: a stage-1 scan only moves v if some eta exceeds
+    // eta[policy[v]] + kTol, and the stage-2 eta filter only fires if some
+    // eta falls below eta[v] - kTol.  Once every node reaches one attractor
+    // (the common case past the first iterations) both are dead weight;
+    // skipping them leaves every policy and value bit-identical.
+    double eta_lo = eta[0], eta_hi = eta[0];
+    for (std::size_t v = 1; v < k; ++v) {
+      eta_lo = std::min(eta_lo, eta[v]);
+      eta_hi = std::max(eta_hi, eta[v]);
+    }
     bool improved = false;
     for (std::size_t v = 0; v < k; ++v) {
       const double* wv = w + v * k;
-      std::size_t best = policy[v];
-      double best_eta = eta[best];
-      for (std::size_t j = 0; j < k; ++j) {
-        if (j == v) continue;
-        if (eta[j] > best_eta + kTol) {
-          best = j;
-          best_eta = eta[j];
+      if (eta_hi > eta[policy[v]] + kTol) {
+        std::size_t best = policy[v];
+        double best_eta = eta[best];
+        for (std::size_t j = 0; j < k; ++j) {
+          if (j == v) continue;
+          if (eta[j] > best_eta + kTol) {
+            best = j;
+            best_eta = eta[j];
+          }
+        }
+        if (best != policy[v]) {
+          policy[v] = static_cast<NodeId>(best);
+          improved = true;
+          continue;
         }
       }
-      if (best != policy[v]) {
-        policy[v] = static_cast<NodeId>(best);
-        improved = true;
-        continue;
-      }
+      const bool filter = eta_lo < eta[v] - kTol;
       double best_val = arc_w(v) - eta[v] + value[policy[v]];
       for (std::size_t j = 0; j < k; ++j) {
         if (j == v) continue;
-        if (eta[j] < eta[v] - kTol) continue;
+        if (filter && eta[j] < eta[v] - kTol) continue;
         const double cand = wv[j] - eta[v] + value[j];
         if (cand > best_val + kTol) {
           best_val = cand;
@@ -508,6 +480,7 @@ HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
   double best = eta[0];
   for (std::size_t v = 1; v < k; ++v) best = std::max(best, eta[v]);
   result.mean = best;
+  result.value = value;
   if (!result.converged)
     metrics_increment(metrics, "cycle_mean.howard_backstop_exits");
   metrics_observe(metrics, "cycle_mean.howard_iterations",

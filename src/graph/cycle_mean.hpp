@@ -6,9 +6,11 @@
 //   Ã^max = max over cycles θ of ( Σ m̃s-weights on θ / |θ| )     (§4.4)
 //
 // The paper prescribes Karp's O(nm) characterization [Karp, Disc. Math. 23
-// (1978)].  We provide Karp as the primary implementation, a binary-search
-// (Lawler-style) alternative used for the E8 ablation, and an exhaustive
-// enumerator used as a test oracle on small graphs.
+// (1978)].  SHIFTS runs Howard's policy iteration (the dense kernel below),
+// whose converged value vector doubles as the potential for the
+// corrections (docs/THEORY.md).  Karp, a binary-search (Lawler-style)
+// alternative and an exhaustive enumerator remain as test oracles and
+// bench E7/E8 ablation arms.
 #pragma once
 
 #include <optional>
@@ -79,28 +81,27 @@ std::optional<double> max_cycle_mean_brute(const Digraph& g);
 class EpochArena;
 
 // ---------------------------------------------------------------------------
-// Dense kernels for SHIFTS (core/shifts.cpp).
+// Dense kernel for SHIFTS (core/shifts.cpp).
 //
 // A finiteness component's m̃s entries form a COMPLETE weighted graph, so
 // materializing a Digraph per epoch only to tear it apart again inside the
-// cycle-mean routines is pure allocation churn.  These kernels run straight
+// cycle-mean routines is pure allocation churn.  This kernel runs straight
 // off a row-major k x k weight matrix (diagonal ignored) with all scratch in
-// an EpochArena, and reproduce the graph-based results BIT FOR BIT:
-//   * Karp's walk table is a pure min-fold over fixed candidate sets, so
-//     the edge iteration order the Digraph path used is irrelevant;
-//   * Howard's greedy initialization and two-stage improvement scan
-//     successors in ascending index skipping the diagonal — exactly the
-//     j-ascending edge order compute_shifts built its complete subgraphs in.
+// an EpochArena, and reproduces the graph-based policies BIT FOR BIT: the
+// greedy initialization and two-stage improvement scan successors in
+// ascending index skipping the diagonal — exactly the j-ascending edge
+// order of a complete subgraph built row by row.
 // ---------------------------------------------------------------------------
-
-/// Karp's maximum cycle mean of the complete graph on k >= 2 nodes with
-/// arc weights w[i*k + j] (i != j).  Mirrors
-/// max_cycle_mean_karp(complete graph) exactly.
-double max_cycle_mean_karp_dense(const double* w, std::size_t k,
-                                 EpochArena& arena);
 
 struct HowardDenseResult {
   double mean{0.0};
+
+  /// Value (bias) vector of the final policy, k entries in the caller's
+  /// arena (valid until its next reset()).  On convergence it is a
+  /// feasible potential: w[i*k + j] + value[j] - value[i] <= mean + tol for
+  /// every arc, tol the 1e-12 improvement threshold (docs/THEORY.md).
+  std::span<const double> value;
+
   std::size_t iterations{0};
   bool converged{true};
 };

@@ -307,9 +307,6 @@ std::vector<std::string> diff_traces(const Trace& a, const Trace& b,
   compare_u64(report, "plan apsp",
               static_cast<std::uint64_t>(a.plan.options.sync.apsp),
               static_cast<std::uint64_t>(b.plan.options.sync.apsp));
-  compare_u64(report, "plan cycle-mean",
-              static_cast<std::uint64_t>(a.plan.options.sync.cycle_mean),
-              static_cast<std::uint64_t>(b.plan.options.sync.cycle_mean));
   compare_u64(report, "plan match",
               static_cast<std::uint64_t>(a.plan.options.sync.match),
               static_cast<std::uint64_t>(b.plan.options.sync.match));

@@ -96,10 +96,6 @@ const char* apsp_name(ApspAlgorithm a) {
   return a == ApspAlgorithm::kJohnson ? "johnson" : "floyd-warshall";
 }
 
-const char* cycle_mean_name(CycleMeanAlgorithm a) {
-  return a == CycleMeanAlgorithm::kKarp ? "karp" : "howard";
-}
-
 const char* match_name(MatchPolicy m) {
   return m == MatchPolicy::kStrict ? "strict" : "drop-orphans";
 }
@@ -191,8 +187,6 @@ void save_trace(std::ostream& os, const Trace& trace) {
   os << "pipeline " << (plan.incremental ? "incremental" : "rebuild") << '\n';
   os << "root " << plan.options.sync.root << '\n';
   os << "apsp " << apsp_name(plan.options.sync.apsp) << '\n';
-  os << "cycle-mean " << cycle_mean_name(plan.options.sync.cycle_mean)
-     << '\n';
   os << "match " << match_name(plan.options.sync.match) << '\n';
   os << "window " << fmt(plan.options.window.sec) << '\n';
   const StalenessOptions& st = plan.options.staleness;
@@ -429,13 +423,13 @@ Trace load_trace(std::istream& is) {
       else
         parse_fail(line_no, "unknown apsp algorithm '" + toks[1] + "'");
     } else if (key == "cycle-mean") {
-      need(2);
-      if (toks[1] == "karp")
-        trace.plan.options.sync.cycle_mean = CycleMeanAlgorithm::kKarp;
-      else if (toks[1] == "howard")
-        trace.plan.options.sync.cycle_mean = CycleMeanAlgorithm::kHoward;
-      else
-        parse_fail(line_no, "unknown cycle-mean algorithm '" + toks[1] + "'");
+      // Written by recorders that still offered a choice of cycle-mean
+      // algorithm; their recorded corrections cannot replay bit for bit.
+      parse_fail(line_no,
+                 "record '" + line +
+                     "': the trace predates the single SHIFTS path (Howard "
+                     "+ Dijkstra corrections) and must be re-recorded; its "
+                     "recorded corrections cannot replay bit for bit");
     } else if (key == "match") {
       need(2);
       if (toks[1] == "strict")

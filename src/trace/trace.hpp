@@ -13,7 +13,7 @@
 //   chronosync-trace v1
 //   processors <n> / seed <u64> / start <pid> <t> / rate <pid> <r>
 //   begin model ... end model          # embedded chronosync-model v1 doc
-//   pipeline/root/apsp/cycle-mean/match/window/staleness   # the replay plan
+//   pipeline/root/apsp/match/window/staleness   # the replay plan
 //   boundary <T_k>                     # the epoch schedule
 //   event <tag> ...                    # the run, in dispatch order
 //   tally <name> <value>               # simulator summary tallies

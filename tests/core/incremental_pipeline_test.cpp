@@ -13,6 +13,7 @@
 #include "core/epochs.hpp"
 #include "core/incremental.hpp"
 #include "core/shifts.hpp"
+#include "graph/cycle_mean.hpp"
 #include "graph/incremental_apsp.hpp"
 #include "graph/johnson.hpp"
 #include "support/builders.hpp"
@@ -109,13 +110,11 @@ TEST(IncrementalPipelineProperty, TwoHundredPerturbedEpochSequences) {
       // From-scratch oracle: full Johnson closure + cold Howard.
       const auto oracle_ms = johnson(mls);
       ASSERT_TRUE(oracle_ms.has_value()) << context;
-      const ShiftsResult oracle =
-          compute_shifts(*oracle_ms, 0, CycleMeanAlgorithm::kHoward);
+      const ShiftsResult oracle = compute_shifts(*oracle_ms);
 
       // Incremental path: delta-updated closure + warm-started Howard.
       ASSERT_TRUE(inc.update(mls)) << context;
       ShiftsOptions options;
-      options.algorithm = CycleMeanAlgorithm::kHoward;
       if (!warm_policy.empty()) options.warm_policy = &warm_policy;
       const ShiftsResult incremental =
           compute_shifts(inc.distances(), options);
@@ -124,14 +123,16 @@ TEST(IncrementalPipelineProperty, TwoHundredPerturbedEpochSequences) {
       expect_shifts_match(incremental, oracle, context);
       if (!oracle.a_max.is_finite()) ++unbounded_epochs_seen;
 
-      // Cross-check against the paper's prescribed algorithm too.
-      const ShiftsResult karp =
-          compute_shifts(*oracle_ms, 0, CycleMeanAlgorithm::kKarp);
-      EXPECT_EQ(karp.a_max.is_finite(), incremental.a_max.is_finite())
-          << context;
-      if (karp.a_max.is_finite() && incremental.a_max.is_finite()) {
-        EXPECT_NEAR(karp.a_max.finite(), incremental.a_max.finite(), 1e-9)
-            << context;
+      // Cross-check against the paper's prescribed algorithm too: Karp on
+      // the complete m̃s graph of a bounded epoch.
+      if (incremental.a_max.is_finite()) {
+        Digraph complete(n);
+        for (NodeId p = 0; p < n; ++p)
+          for (NodeId q = 0; q < n; ++q)
+            if (p != q) complete.add_edge(p, q, oracle_ms->at(p, q));
+        const auto karp = max_cycle_mean_karp(complete);
+        ASSERT_TRUE(karp.has_value()) << context;
+        EXPECT_NEAR(*karp, incremental.a_max.finite(), 1e-9) << context;
       }
     }
   }
@@ -160,7 +161,6 @@ TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
         ClockTime{2.5},  ClockTime{3.0}, ClockTime{10.0}};
 
     SyncOptions options;
-    options.cycle_mean = CycleMeanAlgorithm::kHoward;
     Metrics metrics;
     SyncOptions inc_options = options;
     inc_options.metrics = &metrics;

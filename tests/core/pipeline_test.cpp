@@ -114,7 +114,7 @@ TEST(Synchronizer, TwoNodeBiasAnalyticPrecision) {
 }
 
 TEST(Synchronizer, AlgorithmChoicesAgree) {
-  // Karp/Howard x Johnson/Floyd-Warshall must produce identical outcomes.
+  // Johnson and Floyd-Warshall closures must produce identical outcomes.
   Rng topo_rng(55);
   SystemModel model = test::bounded_model(
       make_connected_gnp(8, 0.35, topo_rng), 0.005, 0.03);
@@ -122,13 +122,11 @@ TEST(Synchronizer, AlgorithmChoicesAgree) {
   const auto views = sim.execution.views();
 
   std::vector<SyncOutcome> outs;
-  for (auto apsp : {ApspAlgorithm::kJohnson, ApspAlgorithm::kFloydWarshall})
-    for (auto cm : {CycleMeanAlgorithm::kKarp, CycleMeanAlgorithm::kHoward}) {
-      SyncOptions opt;
-      opt.apsp = apsp;
-      opt.cycle_mean = cm;
-      outs.push_back(synchronize(model, views, opt));
-    }
+  for (auto apsp : {ApspAlgorithm::kJohnson, ApspAlgorithm::kFloydWarshall}) {
+    SyncOptions opt;
+    opt.apsp = apsp;
+    outs.push_back(synchronize(model, views, opt));
+  }
   for (std::size_t i = 1; i < outs.size(); ++i) {
     EXPECT_NEAR(outs[i].optimal_precision.finite(),
                 outs[0].optimal_precision.finite(), 1e-9);

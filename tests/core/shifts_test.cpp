@@ -141,10 +141,10 @@ TEST(Shifts, RootOutOfRangeThrows) {
 
 TEST(Shifts, NonFiniteEstimateThrowsInsteadOfGarbageCorrections) {
   // Regression: a NaN m̃s entry (broken upstream estimator) used to slide
-  // through — the max-cycle mean went NaN, every Bellman–Ford relaxation
-  // comparison went false, non-root distances stayed +inf, and a
-  // release-mode no-op assert let the +inf be stored as a "correction".
-  // The pipeline must refuse with cs::Error instead.
+  // through — the max-cycle mean went NaN, every relaxation comparison
+  // went false, non-root distances stayed +inf, and a release-mode no-op
+  // assert let the +inf be stored as a "correction".  The pipeline must
+  // refuse with cs::Error instead.
   DistanceMatrix m(3);
   m.at(0, 1) = 0.3;
   m.at(1, 0) = 0.5;
@@ -153,15 +153,14 @@ TEST(Shifts, NonFiniteEstimateThrowsInsteadOfGarbageCorrections) {
   m.at(1, 2) = std::numeric_limits<double>::quiet_NaN();
   m.at(2, 1) = 0.1;
   EXPECT_THROW(compute_shifts(m), Error);
-  EXPECT_THROW(compute_shifts(m, 0, CycleMeanAlgorithm::kHoward), Error);
 }
 
 TEST(Shifts, FloatNoiseCycleAbsorbedInOneTolerantPass) {
   // Regression for the bump-retry hack: weights w = Ã^max − m̃s put the
   // critical cycle at weight exactly 0, so float rounding can leave it at
-  // ~-1 ulp.  The tolerant Bellman–Ford pass must absorb that without
+  // ~-1 ulp.  The Thm 4.6 certificate tolerance must absorb that without
   // retry loops — observable through metrics: exactly one shifts run, no
-  // negative-cycle error, and sound corrections.
+  // certificate error, and sound corrections.
   DistanceMatrix m(3);
   // Entries chosen so (a_max - ms) sums round unfavourably: thirds are
   // inexact in binary.
@@ -192,7 +191,6 @@ TEST(Shifts, HowardPolicyExposedAndAcceptedAsWarmStart) {
   m.at(1, 2) = 0.6;
   m.at(2, 1) = 0.1;
   ShiftsOptions cold;
-  cold.algorithm = CycleMeanAlgorithm::kHoward;
   const ShiftsResult first = compute_shifts(m, cold);
   ASSERT_EQ(first.policy.size(), 3u);
 
@@ -205,8 +203,6 @@ TEST(Shifts, HowardPolicyExposedAndAcceptedAsWarmStart) {
   EXPECT_NEAR(second.a_max.finite(), first.a_max.finite(), 1e-15);
   for (std::size_t p = 0; p < 3; ++p)
     EXPECT_NEAR(second.corrections[p], first.corrections[p], 1e-15);
-  // Karp stays policy-free.
-  EXPECT_TRUE(compute_shifts(m).policy.empty());
 }
 
 }  // namespace

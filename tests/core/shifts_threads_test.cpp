@@ -3,9 +3,9 @@
 // ShiftsOptions::threads shards per-finiteness-component solves across the
 // work-stealing pool.  Components write disjoint slices of the result and
 // all float work stays inside one component, so the outputs must be
-// BIT-identical — not merely close — for any worker count, under both
-// cycle-mean algorithms and with warm-started Howard.  This is the same
-// contract the campaign engine pins for whole-campaign output.
+// BIT-identical — not merely close — for any worker count, cold and with
+// warm-started Howard.  This is the same contract the campaign engine pins
+// for whole-campaign output.
 
 #include <gtest/gtest.h>
 
@@ -69,45 +69,31 @@ void expect_identical(const ShiftsResult& a, const ShiftsResult& b) {
   if (a.a_max.is_finite()) EXPECT_EQ(a.a_max.finite(), b.a_max.finite());
 }
 
-TEST(ShiftsThreads, ByteIdenticalAcrossThreadCountsKarp) {
+TEST(ShiftsThreads, ByteIdenticalAcrossThreadCounts) {
   Rng rng(42);
-  for (std::size_t n : {7u, 16u, 33u}) {
-    for (std::size_t blocks : {2u, 3u, 5u}) {
+  Metrics metrics;
+  for (std::size_t n : {7u, 16u, 24u, 33u}) {
+    for (std::size_t blocks : {2u, 3u, 4u, 5u}) {
       const DistanceMatrix ms = blocky_ms(n, blocks, rng);
       ShiftsOptions serial;
-      serial.algorithm = CycleMeanAlgorithm::kKarp;
-      const ShiftsResult ref = compute_shifts(ms, serial);
+      serial.metrics = &metrics;
+      const ShiftsResult cold = compute_shifts(ms, serial);
       for (std::size_t threads : {2u, 4u, 7u}) {
         ShiftsOptions par = serial;
         par.threads = threads;
-        expect_identical(ref, compute_shifts(ms, par));
+        expect_identical(cold, compute_shifts(ms, par));
       }
+
+      // Warm-started second epoch: the policy feedback loop must also be
+      // thread-count independent.
+      ShiftsOptions warm_serial = serial;
+      warm_serial.warm_policy = &cold.policy;
+      ShiftsOptions warm_par = warm_serial;
+      warm_par.threads = 4;
+      expect_identical(compute_shifts(ms, warm_serial),
+                       compute_shifts(ms, warm_par));
     }
   }
-}
-
-TEST(ShiftsThreads, ByteIdenticalAcrossThreadCountsHoward) {
-  Rng rng(43);
-  const DistanceMatrix ms = blocky_ms(24, 4, rng);
-  Metrics metrics;
-
-  ShiftsOptions serial;
-  serial.algorithm = CycleMeanAlgorithm::kHoward;
-  serial.metrics = &metrics;
-  const ShiftsResult cold = compute_shifts(ms, serial);
-
-  ShiftsOptions par = serial;
-  par.threads = 4;
-  expect_identical(cold, compute_shifts(ms, par));
-
-  // Warm-started second epoch: the policy feedback loop must also be
-  // thread-count independent.
-  ShiftsOptions warm_serial = serial;
-  warm_serial.warm_policy = &cold.policy;
-  ShiftsOptions warm_par = par;
-  warm_par.warm_policy = &cold.policy;
-  expect_identical(compute_shifts(ms, warm_serial),
-                   compute_shifts(ms, warm_par));
 }
 
 TEST(ShiftsThreads, ArenaOptionMatchesPrivateArena) {

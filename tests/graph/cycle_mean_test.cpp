@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "graph/arena.hpp"
 
 namespace cs {
 namespace {
@@ -151,6 +154,51 @@ TEST_P(CycleMeanRandom, HowardMatchesKarpOnDenseGraphs) {
     const auto howard = max_cycle_mean_howard(g);
     ASSERT_TRUE(karp && howard);
     EXPECT_NEAR(*karp, *howard, 1e-9);
+  }
+}
+
+TEST_P(CycleMeanRandom, HowardDenseMatchesGraphHowardExactly) {
+  // The dense SHIFTS kernel skips improvement scans that cannot change the
+  // policy; its policies and means must still equal the edge-list
+  // iteration's bit for bit, cold and warm-started.  Integer weights make
+  // ties, and with them multi-chain policies, common.
+  Rng rng(GetParam() * 131 + 9);
+  EpochArena arena;
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t k = 2 + rng.uniform_int(40);
+    const bool ties = trial % 2 == 0;
+    std::vector<double> w(k * k, 0.0);
+    Digraph g(k);
+    for (NodeId p = 0; p < k; ++p)
+      for (NodeId q = 0; q < k; ++q) {
+        if (p == q) continue;
+        w[p * k + q] = ties ? static_cast<double>(rng.uniform_int(4))
+                            : rng.uniform(-5.0, 5.0);
+        g.add_edge(p, q, w[p * k + q]);
+      }
+    std::vector<NodeId> seed(k);
+    for (NodeId p = 0; p < k; ++p)
+      seed[p] = static_cast<NodeId>(rng.uniform_int(k));
+    for (const bool warm : {false, true}) {
+      arena.reset();
+      std::vector<NodeId> policy(k);
+      const HowardDenseResult dense = max_cycle_mean_howard_dense(
+          w.data(), k, warm ? std::span<const NodeId>(seed)
+                            : std::span<const NodeId>(),
+          policy, arena, nullptr);
+      const HowardResult graph =
+          max_cycle_mean_howard_warm(g, warm ? &seed : nullptr);
+      ASSERT_TRUE(dense.converged && graph.converged && graph.mean);
+      EXPECT_EQ(dense.mean, *graph.mean) << "k " << k << " warm " << warm;
+      EXPECT_EQ(policy, graph.policy) << "k " << k << " warm " << warm;
+      // The value vector is a feasible potential for the mean.
+      ASSERT_EQ(dense.value.size(), k);
+      for (std::size_t p = 0; p < k; ++p)
+        for (std::size_t q = 0; q < k; ++q)
+          if (p != q)
+            EXPECT_LE(w[p * k + q] + dense.value[q] - dense.value[p],
+                      dense.mean + 1e-9);
+    }
   }
 }
 

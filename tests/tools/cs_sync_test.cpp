@@ -149,6 +149,19 @@ TEST(CsSyncCli, ExitCodeContract) {
   EXPECT_EQ(run("help").exit_code, 0);
 }
 
+TEST(CsSyncCli, CycleMeanFlagIsUnknown) {
+  // SHIFTS has one algorithm; the flag that chose between two is gone and
+  // is refused like any unknown flag, before any work is done.
+  const std::string trace = golden("golden_clean.trace");
+  for (const char* value : {"karp", "howard"}) {
+    const RunResult r =
+        run("replay " + trace + " --cycle-mean " + std::string(value));
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("unknown flag '--cycle-mean'"), std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(CsSyncCli, VersionPrintsBannerAndExitsZero) {
   for (const char* spelling : {"--version", "version"}) {
     const RunResult r = run(spelling);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -32,7 +33,6 @@ Trace exhaustive_trace() {
   t.plan.incremental = false;
   t.plan.options.sync.root = 1;
   t.plan.options.sync.apsp = ApspAlgorithm::kFloydWarshall;
-  t.plan.options.sync.cycle_mean = CycleMeanAlgorithm::kHoward;
   t.plan.options.sync.match = MatchPolicy::kDropOrphans;
   t.plan.options.window = Duration{0.75};
   t.plan.options.staleness.carry_forward = true;
@@ -141,8 +141,6 @@ TEST(TraceFormat, RoundTripExact) {
   EXPECT_EQ(back.plan.incremental, t.plan.incremental);
   EXPECT_EQ(back.plan.options.sync.root, t.plan.options.sync.root);
   EXPECT_EQ(back.plan.options.sync.apsp, t.plan.options.sync.apsp);
-  EXPECT_EQ(back.plan.options.sync.cycle_mean,
-            t.plan.options.sync.cycle_mean);
   EXPECT_EQ(back.plan.options.sync.match, t.plan.options.sync.match);
   EXPECT_EQ(back.plan.options.window.sec, t.plan.options.window.sec);
   EXPECT_EQ(back.plan.options.staleness.carry_forward,
@@ -269,6 +267,27 @@ TEST(TraceFormatErrors, BadNumberNamesToken) {
   const std::string msg = trace_error(mutate_line(3, "seed banana"));
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'banana'"), std::string::npos) << msg;
+}
+
+TEST(TraceFormatErrors, CycleMeanPlanLineNamesTheReRecord) {
+  // Traces recorded while the plan still chose a cycle-mean algorithm carry
+  // corrections of the retired Karp + Bellman–Ford path; they are refused
+  // with the line and record named, never replayed into a divergence.
+  std::stringstream ss;
+  save_trace(ss, exhaustive_trace());
+  std::string doc = ss.str();
+  EXPECT_EQ(doc.find("cycle-mean"), std::string::npos);
+  const std::size_t pos = doc.find("match ");
+  ASSERT_NE(pos, std::string::npos);
+  doc.insert(pos, "cycle-mean karp\n");
+  const std::size_t line =
+      1 + static_cast<std::size_t>(
+              std::count(doc.begin(), doc.begin() + pos, '\n'));
+  const std::string msg = trace_error(doc);
+  EXPECT_NE(msg.find("line " + std::to_string(line) + ":"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("'cycle-mean karp'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("re-recorded"), std::string::npos) << msg;
 }
 
 TEST(TraceFormatErrors, MissingModelRejected) {

@@ -213,13 +213,6 @@ SyncOptions sync_options_from(const Args& args) {
   else
     usage_fail("--apsp must be johnson or floyd-warshall, got '" + apsp +
                "'");
-  const std::string cm = args.get("--cycle-mean", "karp");
-  if (cm == "karp")
-    opts.cycle_mean = CycleMeanAlgorithm::kKarp;
-  else if (cm == "howard")
-    opts.cycle_mean = CycleMeanAlgorithm::kHoward;
-  else
-    usage_fail("--cycle-mean must be karp or howard, got '" + cm + "'");
   const std::string match = args.get("--match", "strict");
   if (match == "strict")
     opts.match = MatchPolicy::kStrict;
@@ -815,8 +808,7 @@ subcommands:
 
 common flags:
   --json                   machine-readable output
-  --root N --apsp johnson|floyd-warshall --cycle-mean karp|howard
-  --match strict|drop-orphans
+  --root N --apsp johnson|floyd-warshall --match strict|drop-orphans
 
 simulate flags:
   --topology ring|line|star|complete|... --n N --lower S --upper S
@@ -880,17 +872,17 @@ int main(int argc, char** argv) {
   }
   try {
     const std::set<std::string> valued{
-        "--root",     "--apsp",      "--cycle-mean", "--match",
-        "--topology", "--n",         "--lower",      "--upper",
-        "--model",    "--proto",     "--rounds",     "--spacing",
-        "--warmup",   "--period",    "--count",      "--seed",
-        "--skew",     "--delay-scale", "--drop",     "--dup",
-        "--spike",    "--spike-mag", "--fault-seed", "--down",
-        "--crash",    "--boundaries", "--window",    "--widen",
-        "--max-age",  "--views",     "--rerecord",   "--max-reports",
-        "--transport", "--report-at", "--epochs",    "--grace",
-        "--leader",   "--deadline",  "--trace",      "--zones",
-        "--drift",    "--drift-ppm", "--drift-slack"};
+        "--root",     "--apsp",      "--match",      "--topology",
+        "--n",        "--lower",     "--upper",      "--model",
+        "--proto",    "--rounds",    "--spacing",    "--warmup",
+        "--period",   "--count",     "--seed",       "--skew",
+        "--delay-scale", "--drop",   "--dup",        "--spike",
+        "--spike-mag", "--fault-seed", "--down",     "--crash",
+        "--boundaries", "--window",  "--widen",      "--max-age",
+        "--views",    "--rerecord",  "--max-reports", "--transport",
+        "--report-at", "--epochs",   "--grace",      "--leader",
+        "--deadline", "--trace",     "--zones",      "--drift",
+        "--drift-ppm", "--drift-slack"};
     const std::set<std::string> switches{"--json", "--carry", "--rebuild",
                                          "--no-check"};
     const Args args(argc - 2, argv + 2, valued, switches);
