@@ -8,8 +8,8 @@
 // to cold ones: the corrections are shortest-path distances, so they must
 // not depend on which optimal policy Howard stops at.
 //
-// The sink test pins the ROADMAP rule that no result depends on whether
-// instrumentation is attached.
+// The sink test pins that no result depends on whether instrumentation is
+// attached.
 
 #include <gtest/gtest.h>
 

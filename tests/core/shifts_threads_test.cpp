@@ -69,7 +69,7 @@ void expect_identical(const ShiftsResult& a, const ShiftsResult& b) {
   if (a.a_max.is_finite()) EXPECT_EQ(a.a_max.finite(), b.a_max.finite());
 }
 
-TEST(ShiftsThreads, ByteIdenticalAcrossThreadCounts) {
+TEST(ShiftsThreads, ByteIdenticalAcrossThreadCountsHoward) {
   Rng rng(42);
   Metrics metrics;
   for (std::size_t n : {7u, 16u, 24u, 33u}) {
