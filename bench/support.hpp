@@ -22,6 +22,7 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/text.hpp"
 #include "core/precision.hpp"
 #include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
@@ -80,8 +81,8 @@ inline void print_header(const std::string& id, const std::string& title) {
 ///
 ///   {"schema_version": 1, "bench": NAME, "scenarios": [{...}, ...]}
 ///
-/// Fields keep insertion order; doubles render with %.17g so reports
-/// round-trip exactly.
+/// Fields keep insertion order; doubles render as %.17g would
+/// (cs::text::append_double) so reports round-trip exactly.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench) : bench_(std::move(bench)) {}
@@ -98,9 +99,7 @@ class BenchJson {
     return field(key, std::string(value));
   }
   BenchJson& field(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    rows_.back().emplace_back(key, buf);
+    rows_.back().emplace_back(key, cs::text::format_double(value));
     return *this;
   }
   BenchJson& field(const std::string& key, std::size_t value) {

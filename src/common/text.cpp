@@ -1,0 +1,145 @@
+#include "common/text.hpp"
+
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <istream>
+#include <ostream>
+#include <utility>
+
+#include "common/error.hpp"
+
+namespace cs::text {
+namespace {
+
+// The characters std::isspace accepts in the "C" locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// Longest %.17g rendition of a double: "-2.2250738585072014e-308".
+constexpr std::size_t kMaxDoubleChars = 24;
+constexpr std::size_t kMaxU64Chars = 20;
+
+}  // namespace
+
+void append_double(std::string& out, double v) {
+  char buf[kMaxDoubleChars];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+  out.append(buf, res.ptr);
+}
+
+std::string format_double(double v) {
+  std::string out;
+  append_double(out, v);
+  return out;
+}
+
+LineReader::LineReader(std::istream& is, std::string context)
+    : is_(is), context_(std::move(context)) {}
+
+bool LineReader::next_raw() {
+  tokens_.clear();
+  if (!std::getline(is_, line_)) return false;
+  ++line_no_;
+  const char* p = line_.data();
+  const char* const end = p + line_.size();
+  while (true) {
+    while (p != end && is_space(*p)) ++p;
+    if (p == end) break;
+    const char* const start = p;
+    while (p != end && !is_space(*p)) ++p;
+    tokens_.emplace_back(start, static_cast<std::size_t>(p - start));
+  }
+  return true;
+}
+
+bool LineReader::next() {
+  while (next_raw())
+    if (!tokens_.empty() && tokens_[0].front() != '#') return true;
+  return false;
+}
+
+bool LineReader::is(std::string_view words) const {
+  std::size_t i = 0;
+  for (std::size_t pos = 0; pos <= words.size(); ++i) {
+    const std::size_t end = std::min(words.find(' ', pos), words.size());
+    if (i == tokens_.size() || tokens_[i] != words.substr(pos, end - pos))
+      return false;
+    pos = end + 1;
+  }
+  return i == tokens_.size();
+}
+
+void LineReader::fail(const std::string& what) const {
+  fail_at(line_no_, what);
+}
+
+void LineReader::fail_at(std::size_t line_no, const std::string& what) const {
+  throw Error(context_ + " at line " + std::to_string(line_no) + ": " + what);
+}
+
+double LineReader::number(std::string_view tok) const {
+  double v = 0.0;
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), end, v, std::chars_format::general);
+  if (ec != std::errc{} || ptr != end || std::isnan(v))
+    fail("bad number '" + std::string(tok) + "'");
+  return v;
+}
+
+std::uint64_t LineReader::u64(std::string_view tok) const {
+  std::uint64_t v = 0;
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || ptr != end)
+    fail("bad unsigned integer '" + std::string(tok) + "'");
+  return v;
+}
+
+Writer::Writer(std::ostream& os) : os_(&os), out_(chunk_) {
+  chunk_.reserve(kChunkBytes);
+}
+
+Writer& Writer::operator<<(std::string_view s) {
+  if (os_ != nullptr && s.size() > kChunkBytes) {
+    flush();
+    os_->write(s.data(), static_cast<std::streamsize>(s.size()));
+    return *this;
+  }
+  make_room(s.size());
+  out_.append(s);
+  return *this;
+}
+
+Writer& Writer::operator<<(char c) {
+  make_room(1);
+  out_.push_back(c);
+  return *this;
+}
+
+Writer& Writer::operator<<(double v) {
+  make_room(kMaxDoubleChars);
+  append_double(out_, v);
+  return *this;
+}
+
+Writer& Writer::put_u64(std::uint64_t v) {
+  make_room(kMaxU64Chars);
+  char buf[kMaxU64Chars];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out_.append(buf, res.ptr);
+  return *this;
+}
+
+void Writer::make_room(std::size_t n) {
+  if (os_ != nullptr && chunk_.size() + n > kChunkBytes) flush();
+}
+
+void Writer::flush() {
+  if (os_ == nullptr || chunk_.empty()) return;
+  os_->write(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
+  chunk_.clear();
+}
+
+}  // namespace cs::text

@@ -1,0 +1,103 @@
+// The text codec of the line-based formats (trace, views, model): a
+// whitespace tokenizer over one reused line buffer, whole-token number
+// parsing on std::from_chars, and double printing on std::to_chars.
+//
+// Doubles print as printf("%.17g") would print them — 17 significant
+// digits, so every finite double (subnormals included) and ±inf reads back
+// bit for bit.  The reader accepts std::from_chars's decimal grammar less
+// NaN; docs/TRACE.md §1 states it.
+#pragma once
+
+#include <concepts>
+#include <cstdint>
+#include <iosfwd>
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace cs::text {
+
+/// Appends `v` exactly as printf("%.17g", v) prints it.
+void append_double(std::string& out, double v);
+
+/// `v` as append_double prints it.
+std::string format_double(double v);
+
+/// Line-by-line reader of a text document.  Each advance reads one line
+/// into a reused buffer and splits it at ASCII whitespace; tokens are views
+/// into that buffer and are invalidated by the next advance.  Errors throw
+/// cs::Error("<context> at line <n>: <what>").
+class LineReader {
+ public:
+  LineReader(std::istream& is, std::string context);
+
+  /// Advances to the next line that is neither blank nor a '#' comment;
+  /// false at end of input.
+  bool next();
+  /// Advances to the next line, whatever it holds; false at end of input.
+  bool next_raw();
+
+  const std::string& line() const { return line_; }
+  std::size_t line_no() const { return line_no_; }
+  std::size_t size() const { return tokens_.size(); }
+  std::string_view operator[](std::size_t i) const { return tokens_[i]; }
+  /// True when the line's tokens are exactly `words` (single-spaced).
+  bool is(std::string_view words) const;
+
+  [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void fail_at(std::size_t line_no, const std::string& what) const;
+
+  /// The whole of `tok` as a double: an optional '-', then decimal digits
+  /// with an optional fraction and exponent, or inf/infinity.  Anything
+  /// else — a leading '+', hex, NaN, trailing characters — and values out
+  /// of range (overflow to ±inf, or underflow to zero) fail as
+  /// "bad number '<tok>'".
+  double number(std::string_view tok) const;
+  /// The whole of `tok` as an unsigned decimal integer (digits only, no
+  /// sign); anything else and overflow fail as
+  /// "bad unsigned integer '<tok>'".
+  std::uint64_t u64(std::string_view tok) const;
+
+ private:
+  std::istream& is_;
+  std::string context_;
+  std::string line_;
+  std::vector<std::string_view> tokens_;
+  std::size_t line_no_{0};
+};
+
+/// Text output for the line-based writers.  Over a stream, appends go into
+/// one reused chunk of at most kChunkBytes that reaches the stream through
+/// os.write when it would overflow and on flush(); a longer piece is written
+/// on its own.  Call flush() when done.  Over a string, appends go straight
+/// into it.
+class Writer {
+ public:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  explicit Writer(std::ostream& os);
+  explicit Writer(std::string& out) : out_(out) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  Writer& operator<<(std::string_view s);
+  Writer& operator<<(char c);
+  Writer& operator<<(double v);
+  template <std::unsigned_integral U>
+  Writer& operator<<(U v) {
+    return put_u64(v);
+  }
+
+  /// Hands the buffered chunk to the stream; no-op over a string.
+  void flush();
+
+ private:
+  Writer& put_u64(std::uint64_t v);
+  void make_room(std::size_t n);
+
+  std::ostream* os_{nullptr};
+  std::string chunk_;
+  std::string& out_;
+};
+
+}  // namespace cs::text

@@ -185,6 +185,9 @@ std::string CompositeConstraint::describe() const {
 
 std::unique_ptr<LinkConstraint> make_bounds(ProcessorId a, ProcessorId b,
                                             double lb, double ub) {
+  // Checked here because Interval only asserts lo <= hi.
+  if (!(lb <= ub))
+    throw InvalidAssumption("lower delay bound exceeds the upper bound");
   const Interval iv{ExtReal{lb}, ExtReal{ub}};
   return std::make_unique<BoundsConstraint>(a, b, iv, iv);
 }

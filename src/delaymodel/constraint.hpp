@@ -147,6 +147,7 @@ class CompositeConstraint final : public LinkConstraint {
 // ---- Factories for the paper's four named models (§1) -------------------
 
 /// Model 1: upper and lower bounds known (symmetric in both directions).
+/// Throws InvalidAssumption unless lb <= ub.
 std::unique_ptr<LinkConstraint> make_bounds(ProcessorId a, ProcessorId b,
                                             double lb, double ub);
 

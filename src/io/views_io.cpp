@@ -1,10 +1,9 @@
 #include "io/views_io.hpp"
 
-#include <cinttypes>
 #include <fstream>
-#include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "delaymodel/windowed_bias.hpp"
 
 namespace cs {
@@ -13,173 +12,102 @@ namespace {
 constexpr const char* kViewsHeader = "chronosync-views v1";
 constexpr const char* kModelHeader = "chronosync-model v1";
 
-std::string fmt(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-double parse_double(const std::string& tok, std::size_t line_no) {
-  if (tok == "inf") return std::numeric_limits<double>::infinity();
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != tok.size())
-    throw Error("parse error at line " + std::to_string(line_no) +
-                ": bad number '" + tok + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& tok, std::size_t line_no) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(tok, &pos, 10);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != tok.size() || tok.empty() || tok[0] == '-' || tok[0] == '+')
-    throw Error("parse error at line " + std::to_string(line_no) +
-                ": bad unsigned integer '" + tok + "'");
-  return v;
-}
-
-/// Reads the next meaningful line (skipping comments/blanks); false at EOF.
-bool next_line(std::istream& is, std::string& line, std::size_t& line_no) {
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::size_t i = 0;
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-    if (i == line.size() || line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream ss(line);
-  std::vector<std::string> toks;
-  std::string t;
-  while (ss >> t) toks.push_back(t);
-  return toks;
-}
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& what) {
-  throw Error("parse error at line " + std::to_string(line_no) + ": " +
-              what);
+/// Reads the header line and the `processors <n>` line every document
+/// starts with; returns n.
+std::size_t read_preamble(text::LineReader& r, const std::string& header) {
+  if (!r.next())
+    r.fail_at(r.line_no() + 1, "missing header '" + header + "'");
+  if (!r.is(header))
+    r.fail("expected header '" + header + "', got '" + r.line() + "'");
+  if (!r.next()) r.fail_at(r.line_no() + 1, "missing 'processors <n>'");
+  if (r.size() != 2 || r[0] != "processors")
+    r.fail("expected 'processors <n>', got '" + r.line() + "'");
+  return static_cast<std::size_t>(r.u64(r[1]));
 }
 
 }  // namespace
 
 void save_views(std::ostream& os, std::span<const View> views) {
-  os << kViewsHeader << '\n';
-  os << "processors " << views.size() << '\n';
+  text::Writer w(os);
+  w << kViewsHeader << '\n';
+  w << "processors " << views.size() << '\n';
   for (const View& v : views) {
-    os << "view " << v.pid << ' ' << v.events.size() << '\n';
+    w << "view " << v.pid << ' ' << v.events.size() << '\n';
     for (const ViewEvent& e : v.events) {
       switch (e.kind) {
         case EventKind::kStart:
-          os << "S " << fmt(e.when.sec) << '\n';
+          w << "S " << e.when.sec << '\n';
           break;
         case EventKind::kSend:
-          os << "D " << fmt(e.when.sec) << ' ' << e.msg << ' ' << e.peer
-             << '\n';
+          w << "D " << e.when.sec << ' ' << e.msg << ' ' << e.peer << '\n';
           break;
         case EventKind::kReceive:
-          os << "R " << fmt(e.when.sec) << ' ' << e.msg << ' ' << e.peer
-             << '\n';
+          w << "R " << e.when.sec << ' ' << e.msg << ' ' << e.peer << '\n';
           break;
         case EventKind::kTimerSet:
-          os << "T " << fmt(e.when.sec) << ' ' << fmt(e.timer_at.sec)
-             << '\n';
+          w << "T " << e.when.sec << ' ' << e.timer_at.sec << '\n';
           break;
         case EventKind::kTimerFire:
-          os << "F " << fmt(e.when.sec) << ' ' << fmt(e.timer_at.sec)
-             << '\n';
+          w << "F " << e.when.sec << ' ' << e.timer_at.sec << '\n';
           break;
       }
     }
   }
+  w.flush();
 }
 
 std::vector<View> load_views(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no))
-    parse_fail(line_no + 1, "missing header 'chronosync-views v1'");
-  if (tokens_of(line) != tokens_of(kViewsHeader))
-    parse_fail(line_no, "expected header 'chronosync-views v1', got '" +
-                            line + "'");
-
-  if (!next_line(is, line, line_no))
-    parse_fail(line_no + 1, "missing 'processors <n>'");
-  auto toks = tokens_of(line);
-  if (toks.size() != 2 || toks[0] != "processors")
-    parse_fail(line_no, "expected 'processors <n>', got '" + line + "'");
-  const auto n = static_cast<std::size_t>(parse_u64(toks[1], line_no));
+  text::LineReader r(is, "parse error");
+  const std::size_t n = read_preamble(r, kViewsHeader);
 
   std::vector<View> views(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!next_line(is, line, line_no))
-      parse_fail(line_no + 1, "truncated stream: expected view block for "
-                              "processor " +
-                                  std::to_string(i) + " of " +
-                                  std::to_string(n));
-    toks = tokens_of(line);
-    if (toks.size() != 3 || toks[0] != "view")
-      parse_fail(line_no, "expected 'view <pid> <events>', got '" + line +
-                              "'");
-    const auto pid =
-        static_cast<ProcessorId>(parse_u64(toks[1], line_no));
+    if (!r.next())
+      r.fail_at(r.line_no() + 1, "truncated stream: expected view block for "
+                                 "processor " +
+                                     std::to_string(i) + " of " +
+                                     std::to_string(n));
+    if (r.size() != 3 || r[0] != "view")
+      r.fail("expected 'view <pid> <events>', got '" + r.line() + "'");
+    const auto pid = static_cast<ProcessorId>(r.u64(r[1]));
     if (pid < i)
-      parse_fail(line_no, "duplicate view block for processor " +
-                              std::to_string(pid));
-    if (pid != i) parse_fail(line_no, "views must appear in pid order");
-    const auto count =
-        static_cast<std::size_t>(parse_u64(toks[2], line_no));
+      r.fail("duplicate view block for processor " + std::to_string(pid));
+    if (pid != i) r.fail("views must appear in pid order");
+    const auto count = static_cast<std::size_t>(r.u64(r[2]));
     View& v = views[i];
     v.pid = pid;
     v.events.reserve(count);
     for (std::size_t e = 0; e < count; ++e) {
-      if (!next_line(is, line, line_no))
-        parse_fail(line_no + 1,
-                   "truncated stream: view " + std::to_string(pid) +
-                       " declares " + std::to_string(count) +
-                       " events but only " + std::to_string(e) +
-                       " are present");
-      toks = tokens_of(line);
-      if (toks[0] == "view")
-        parse_fail(line_no, "event count mismatch: view " +
-                                std::to_string(pid) + " declares " +
-                                std::to_string(count) +
-                                " events but only " + std::to_string(e) +
-                                " precede the next view block");
+      if (!r.next())
+        r.fail_at(r.line_no() + 1,
+                  "truncated stream: view " + std::to_string(pid) +
+                      " declares " + std::to_string(count) +
+                      " events but only " + std::to_string(e) +
+                      " are present");
+      const std::string_view tag = r[0];
+      if (tag == "view")
+        r.fail("event count mismatch: view " + std::to_string(pid) +
+               " declares " + std::to_string(count) + " events but only " +
+               std::to_string(e) + " precede the next view block");
       ViewEvent ev;
-      if (toks[0] == "S" && toks.size() == 2) {
+      if (tag == "S" && r.size() == 2) {
         ev.kind = EventKind::kStart;
-        ev.when = ClockTime{parse_double(toks[1], line_no)};
-      } else if ((toks[0] == "D" || toks[0] == "R") && toks.size() == 4) {
-        ev.kind = toks[0] == "D" ? EventKind::kSend : EventKind::kReceive;
-        ev.when = ClockTime{parse_double(toks[1], line_no)};
-        ev.msg = static_cast<MessageId>(parse_u64(toks[2], line_no));
-        ev.peer = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      } else if ((toks[0] == "T" || toks[0] == "F") && toks.size() == 3) {
-        ev.kind =
-            toks[0] == "T" ? EventKind::kTimerSet : EventKind::kTimerFire;
-        ev.when = ClockTime{parse_double(toks[1], line_no)};
-        ev.timer_at = ClockTime{parse_double(toks[2], line_no)};
-      } else if (toks[0] == "S" || toks[0] == "D" || toks[0] == "R" ||
-                 toks[0] == "T" || toks[0] == "F") {
-        parse_fail(line_no, "wrong field count for event tag '" + toks[0] +
-                                "' in '" + line + "'");
+        ev.when = ClockTime{r.number(r[1])};
+      } else if ((tag == "D" || tag == "R") && r.size() == 4) {
+        ev.kind = tag == "D" ? EventKind::kSend : EventKind::kReceive;
+        ev.when = ClockTime{r.number(r[1])};
+        ev.msg = static_cast<MessageId>(r.u64(r[2]));
+        ev.peer = static_cast<ProcessorId>(r.u64(r[3]));
+      } else if ((tag == "T" || tag == "F") && r.size() == 3) {
+        ev.kind = tag == "T" ? EventKind::kTimerSet : EventKind::kTimerFire;
+        ev.when = ClockTime{r.number(r[1])};
+        ev.timer_at = ClockTime{r.number(r[2])};
+      } else if (tag == "S" || tag == "D" || tag == "R" || tag == "T" ||
+                 tag == "F") {
+        r.fail("wrong field count for event tag '" + std::string(tag) +
+               "' in '" + r.line() + "'");
       } else {
-        parse_fail(line_no, "unknown event tag '" + toks[0] + "'");
+        r.fail("unknown event tag '" + std::string(tag) + "'");
       }
       v.events.push_back(ev);
     }
@@ -190,34 +118,33 @@ std::vector<View> load_views(std::istream& is) {
 namespace {
 
 /// Emits one or more `link` lines for a constraint (composites recurse).
-void emit_constraint(std::ostream& os, const LinkConstraint& c) {
+void emit_constraint(text::Writer& w, const LinkConstraint& c) {
   if (const auto* comp = dynamic_cast<const CompositeConstraint*>(&c)) {
     for (std::size_t i = 0; i < comp->part_count(); ++i)
-      emit_constraint(os, comp->part(i));
+      emit_constraint(w, comp->part(i));
     return;
   }
-  os << "link " << c.a() << ' ' << c.b() << ' ';
+  w << "link " << c.a() << ' ' << c.b() << ' ';
   if (const auto* bounds = dynamic_cast<const BoundsConstraint*>(&c)) {
     const Interval& ab = bounds->bounds(bounds->a());
     const Interval& ba = bounds->bounds(bounds->b());
     if (!(ab == ba))
       throw Error("model format v1 cannot express asymmetric bounds");
     if (ab.hi().is_pos_inf() && ab.lo() == ExtReal{0.0}) {
-      os << "none\n";
+      w << "none\n";
     } else if (ab.hi().is_pos_inf()) {
-      os << "lower " << fmt(ab.lo().finite()) << '\n';
+      w << "lower " << ab.lo().finite() << '\n';
     } else {
-      os << "bounds " << fmt(ab.lo().finite()) << ' '
-         << fmt(ab.hi().finite()) << '\n';
+      w << "bounds " << ab.lo().finite() << ' ' << ab.hi().finite() << '\n';
     }
     return;
   }
   if (const auto* wb = dynamic_cast<const WindowedBiasConstraint*>(&c)) {
-    os << "wbias " << fmt(wb->bias()) << ' ' << fmt(wb->window()) << '\n';
+    w << "wbias " << wb->bias() << ' ' << wb->window() << '\n';
     return;
   }
   if (const auto* bias = dynamic_cast<const BiasConstraint*>(&c)) {
-    os << "bias " << fmt(bias->bias()) << '\n';
+    w << "bias " << bias->bias() << '\n';
     return;
   }
   throw Error("model format v1 cannot express constraint: " + c.describe());
@@ -226,27 +153,17 @@ void emit_constraint(std::ostream& os, const LinkConstraint& c) {
 }  // namespace
 
 void save_model(std::ostream& os, const SystemModel& model) {
-  os << kModelHeader << '\n';
-  os << "processors " << model.processor_count() << '\n';
+  text::Writer w(os);
+  w << kModelHeader << '\n';
+  w << "processors " << model.processor_count() << '\n';
   for (auto [a, b] : model.topology().links)
-    emit_constraint(os, model.constraint(a, b));
+    emit_constraint(w, model.constraint(a, b));
+  w.flush();
 }
 
 SystemModel load_model(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no))
-    parse_fail(line_no + 1, "missing header 'chronosync-model v1'");
-  if (tokens_of(line) != tokens_of(kModelHeader))
-    parse_fail(line_no, "expected header 'chronosync-model v1', got '" +
-                            line + "'");
-
-  if (!next_line(is, line, line_no))
-    parse_fail(line_no + 1, "missing 'processors <n>'");
-  auto toks = tokens_of(line);
-  if (toks.size() != 2 || toks[0] != "processors")
-    parse_fail(line_no, "expected 'processors <n>', got '" + line + "'");
-  const auto n = static_cast<std::size_t>(parse_u64(toks[1], line_no));
+  text::LineReader r(is, "parse error");
+  const std::size_t n = read_preamble(r, kModelHeader);
 
   // Gather constraint specs per link; repeated lines conjoin (Thm 5.6).
   struct Spec {
@@ -261,38 +178,33 @@ SystemModel load_model(std::istream& is) {
     return specs.back();
   };
 
-  while (next_line(is, line, line_no)) {
-    toks = tokens_of(line);
-    if (toks.size() < 4 || toks[0] != "link")
-      parse_fail(line_no,
-                 "expected 'link <a> <b> <kind> ...', got '" + line + "'");
-    auto a = static_cast<ProcessorId>(parse_u64(toks[1], line_no));
-    auto b = static_cast<ProcessorId>(parse_u64(toks[2], line_no));
+  while (r.next()) {
+    if (r.size() < 4 || r[0] != "link")
+      r.fail("expected 'link <a> <b> <kind> ...', got '" + r.line() + "'");
+    auto a = static_cast<ProcessorId>(r.u64(r[1]));
+    auto b = static_cast<ProcessorId>(r.u64(r[2]));
     if (a > b) std::swap(a, b);
     if (b >= n)
-      parse_fail(line_no, "link endpoint " + std::to_string(b) +
-                              " out of range (processors " +
-                              std::to_string(n) + ")");
-    const std::string& kind = toks[3];
+      r.fail("link endpoint " + std::to_string(b) +
+             " out of range (processors " + std::to_string(n) + ")");
+    const std::string_view kind = r[3];
     std::unique_ptr<LinkConstraint> c;
-    if (kind == "none" && toks.size() == 4) {
+    if (kind == "none" && r.size() == 4) {
       c = make_no_bounds(a, b);
-    } else if (kind == "lower" && toks.size() == 5) {
-      c = make_lower_bound_only(a, b, parse_double(toks[4], line_no));
-    } else if (kind == "bounds" && toks.size() == 6) {
-      c = make_bounds(a, b, parse_double(toks[4], line_no),
-                      parse_double(toks[5], line_no));
-    } else if (kind == "bias" && toks.size() == 5) {
-      c = make_bias(a, b, parse_double(toks[4], line_no));
-    } else if (kind == "wbias" && toks.size() == 6) {
-      c = make_windowed_bias(a, b, parse_double(toks[4], line_no),
-                             parse_double(toks[5], line_no));
+    } else if (kind == "lower" && r.size() == 5) {
+      c = make_lower_bound_only(a, b, r.number(r[4]));
+    } else if (kind == "bounds" && r.size() == 6) {
+      c = make_bounds(a, b, r.number(r[4]), r.number(r[5]));
+    } else if (kind == "bias" && r.size() == 5) {
+      c = make_bias(a, b, r.number(r[4]));
+    } else if (kind == "wbias" && r.size() == 6) {
+      c = make_windowed_bias(a, b, r.number(r[4]), r.number(r[5]));
     } else if (kind == "none" || kind == "lower" || kind == "bounds" ||
                kind == "bias" || kind == "wbias") {
-      parse_fail(line_no, "wrong field count for link kind '" + kind +
-                              "' in '" + line + "'");
+      r.fail("wrong field count for link kind '" + std::string(kind) +
+             "' in '" + r.line() + "'");
     } else {
-      parse_fail(line_no, "unknown link kind '" + kind + "'");
+      r.fail("unknown link kind '" + std::string(kind) + "'");
     }
     find_spec(a, b).parts.push_back(std::move(c));
   }

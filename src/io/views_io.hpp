@@ -4,7 +4,8 @@
 // (send clock, receive clock, message id) triples, ship the logs to one
 // place, run the pipeline.  These readers/writers define the interchange
 // format for that workflow — versioned, line-based, diff-able, and
-// round-trip exact (doubles are printed with 17 significant digits).
+// round-trip exact (doubles are printed with 17 significant digits; the
+// number grammar is docs/TRACE.md §1's).
 //
 //   chronosync-views v1
 //   processors <n>

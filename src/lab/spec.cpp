@@ -5,17 +5,11 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "delaymodel/constraint.hpp"
 
 namespace cs::lab {
 namespace {
-
-/// %.17g, matching the io/ writers: doubles round-trip exactly.
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 [[noreturn]] void fail_line(std::size_t line_no, const std::string& message) {
   fail("campaign spec line " + std::to_string(line_no) + ": " + message);
@@ -50,21 +44,23 @@ std::uint64_t parse_u64(const std::string& token, std::size_t line_no,
 std::string MixSpec::describe() const {
   std::ostringstream os;
   os << kind;
-  if (kind == "bounds") os << ' ' << fmt(lb) << ' ' << fmt(ub);
-  else if (kind == "lower") os << ' ' << fmt(lb);
-  else if (kind == "bias") os << ' ' << fmt(bias);
+  if (kind == "bounds")
+    os << ' ' << text::format_double(lb) << ' ' << text::format_double(ub);
+  else if (kind == "lower") os << ' ' << text::format_double(lb);
+  else if (kind == "bias") os << ' ' << text::format_double(bias);
   else if (kind == "composite" || kind == "alternating")
-    os << ' ' << fmt(lb) << ' ' << fmt(ub) << ' ' << fmt(bias);
+    os << ' ' << text::format_double(lb) << ' ' << text::format_double(ub)
+       << ' ' << text::format_double(bias);
   return os.str();
 }
 
 std::string FaultSpec::describe() const {
   if (!faulty()) return "none";
   std::ostringstream os;
-  os << "drop " << fmt(drop);
+  os << "drop " << text::format_double(drop);
   if (has_crash)
-    os << " crash " << crash_pid << ' ' << fmt(crash_from) << ' '
-       << fmt(crash_until);
+    os << " crash " << crash_pid << ' ' << text::format_double(crash_from)
+       << ' ' << text::format_double(crash_until);
   return os.str();
 }
 
@@ -85,19 +81,20 @@ std::string ZoneAxisSpec::describe() const {
 std::string DriftAxisSpec::describe() const {
   if (!drifting()) return "none";
   std::ostringstream os;
-  os << kind << ' ' << fmt(ppm);
-  if (kind == "walk") os << ' ' << fmt(step_ppm);
-  os << " resync " << fmt(resync);
-  if (horizon > 0.0) os << " horizon " << fmt(horizon);
+  os << kind << ' ' << text::format_double(ppm);
+  if (kind == "walk") os << ' ' << text::format_double(step_ppm);
+  os << " resync " << text::format_double(resync);
+  if (horizon > 0.0) os << " horizon " << text::format_double(horizon);
   return os.str();
 }
 
 std::string ByzAxisSpec::describe() const {
   if (!byzantine()) return "none";
   std::ostringstream os;
-  os << kind << " f=" << f << " mag=" << fmt(magnitude)
+  os << kind << " f=" << f << " mag=" << text::format_double(magnitude)
      << " est=" << estimator;
-  if (estimator == "quorum") os << " tol=" << fmt(quorum_tolerance);
+  if (estimator == "quorum")
+    os << " tol=" << text::format_double(quorum_tolerance);
   return os.str();
 }
 
@@ -127,7 +124,7 @@ std::size_t CampaignSpec::task_count() const {
 std::string ProtocolSpec::describe() const {
   std::ostringstream os;
   if (kind == "pingpong") os << "pingpong " << rounds;
-  else os << "beacon " << fmt(period) << ' ' << count;
+  else os << "beacon " << text::format_double(period) << ' ' << count;
   return os.str();
 }
 
@@ -430,8 +427,8 @@ void save_campaign(std::ostream& os, const CampaignSpec& spec) {
   os << "seed " << spec.seed << "\n";
   os << "seeds " << spec.seeds_per_cell << "\n";
   os << "protocol " << spec.protocol.describe() << "\n";
-  os << "skew " << fmt(spec.skew) << "\n";
-  os << "delay-scale " << fmt(spec.delay_scale) << "\n";
+  os << "skew " << text::format_double(spec.skew) << "\n";
+  os << "delay-scale " << text::format_double(spec.delay_scale) << "\n";
   for (const TopoSpec& t : spec.topologies)
     os << "topology " << t.describe() << "\n";
   for (const MixSpec& m : spec.mixes) os << "mix " << m.describe() << "\n";

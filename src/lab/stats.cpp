@@ -1,19 +1,13 @@
 #include "lab/stats.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "common/table.hpp"
+#include "common/text.hpp"
 
 namespace cs::lab {
 namespace {
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 /// JSON string literal: quotes, with the characters JSON cannot carry raw
 /// escaped.  Spec describe() strings are plain ASCII today, so this changes
@@ -52,12 +46,15 @@ void series_json(std::ostream& os, const char* indent, const char* name,
                  const SeriesStats& s) {
   os << indent << quoted(name) << ": {"
      << "\"count\": " << s.acc.count() << ", \"mean\": "
-     << fmt(s.acc.count() == 0 ? 0.0 : s.acc.mean())
-     << ", \"min\": " << fmt(s.acc.count() == 0 ? 0.0 : s.acc.min())
-     << ", \"max\": " << fmt(s.acc.count() == 0 ? 0.0 : s.acc.max())
-     << ", \"p50\": " << fmt(s.quantiles.quantile(0.50))
-     << ", \"p95\": " << fmt(s.quantiles.quantile(0.95))
-     << ", \"p99\": " << fmt(s.quantiles.quantile(0.99)) << "}";
+     << text::format_double(s.acc.count() == 0 ? 0.0 : s.acc.mean())
+     << ", \"min\": "
+     << text::format_double(s.acc.count() == 0 ? 0.0 : s.acc.min())
+     << ", \"max\": "
+     << text::format_double(s.acc.count() == 0 ? 0.0 : s.acc.max())
+     << ", \"p50\": " << text::format_double(s.quantiles.quantile(0.50))
+     << ", \"p95\": " << text::format_double(s.quantiles.quantile(0.95))
+     << ", \"p99\": " << text::format_double(s.quantiles.quantile(0.99))
+     << "}";
 }
 
 }  // namespace
@@ -212,8 +209,9 @@ void write_report_json(std::ostream& os, const CampaignReport& report,
      << "    \"seed\": " << spec.seed << ",\n"
      << "    \"seeds_per_cell\": " << spec.seeds_per_cell << ",\n"
      << "    \"protocol\": " << quoted(spec.protocol.describe()) << ",\n"
-     << "    \"skew\": " << fmt(spec.skew) << ",\n"
-     << "    \"delay_scale\": " << fmt(spec.delay_scale) << ",\n"
+     << "    \"skew\": " << text::format_double(spec.skew) << ",\n"
+     << "    \"delay_scale\": " << text::format_double(spec.delay_scale)
+     << ",\n"
      << "    \"cells\": " << report.cells.size() << ",\n"
      << "    \"tasks\": " << report.tasks << "\n  },\n"
      << "  \"cells\": [\n";
@@ -233,24 +231,30 @@ void write_report_json(std::ostream& os, const CampaignReport& report,
        << "      \"bounded\": " << c.bounded << ",\n"
        << "      \"soundness_violations\": " << c.soundness_violations
        << ",\n"
-       << "      \"thm46_max_gap\": " << fmt(c.thm46_max_gap) << ",\n";
+       << "      \"thm46_max_gap\": " << text::format_double(c.thm46_max_gap)
+       << ",\n";
     series_json(os, "      ", "claimed_precision", c.claimed);
     os << ",\n";
     series_json(os, "      ", "realized_over_claimed", c.ratio);
     os << ",\n";
     series_json(os, "      ", "optimality_gap", c.optimality_gap);
-    os << ",\n      \"realized_max\": " << fmt(c.realized_max) << ",\n"
+    os << ",\n      \"realized_max\": " << text::format_double(c.realized_max)
+       << ",\n"
        << "      \"zone_count\": " << c.zone_count << ",\n"
        << "      \"zone_max_size\": " << c.zone_max_size << ",\n"
-       << "      \"zone_a_max_max\": " << fmt(c.zone_a_max_max) << ",\n"
-       << "      \"realized_intra_max\": " << fmt(c.realized_intra_max)
-       << ",\n"
-       << "      \"realized_cross_max\": " << fmt(c.realized_cross_max)
-       << ",\n"
+       << "      \"zone_a_max_max\": "
+       << text::format_double(c.zone_a_max_max) << ",\n"
+       << "      \"realized_intra_max\": "
+       << text::format_double(c.realized_intra_max) << ",\n"
+       << "      \"realized_cross_max\": "
+       << text::format_double(c.realized_cross_max) << ",\n"
        << "      \"drift_epochs\": " << c.drift_epochs << ",\n"
-       << "      \"drift_window_max\": " << fmt(c.drift_window_max) << ",\n"
-       << "      \"drift_bound_max\": " << fmt(c.drift_bound_max) << ",\n"
-       << "      \"drift_slope_max\": " << fmt(c.drift_slope_max) << ",\n"
+       << "      \"drift_window_max\": "
+       << text::format_double(c.drift_window_max) << ",\n"
+       << "      \"drift_bound_max\": "
+       << text::format_double(c.drift_bound_max) << ",\n"
+       << "      \"drift_slope_max\": "
+       << text::format_double(c.drift_slope_max) << ",\n"
        << "      \"byz\": " << quoted(c.byz) << ",\n"
        << "      \"byzantine\": " << (c.byzantine ? "true" : "false")
        << ",\n"
@@ -270,27 +274,32 @@ void write_report_json(std::ostream& os, const CampaignReport& report,
      << "    \"bounded\": " << report.bounded << ",\n"
      << "    \"soundness_violations\": " << report.soundness_violations
      << ",\n"
-     << "    \"thm46_max_gap\": " << fmt(report.thm46_max_gap) << ",\n"
+     << "    \"thm46_max_gap\": " << text::format_double(report.thm46_max_gap)
+     << ",\n"
      << "    \"events\": " << report.events << "\n  }";
   if (include_timing) {
     os << ",\n  \"timing\": {\n"
        << "    \"threads\": " << report.threads << ",\n"
-       << "    \"wall_seconds\": " << fmt(report.wall_seconds) << ",\n"
-       << "    \"cpu_seconds\": " << fmt(report.cpu_seconds) << ",\n"
+       << "    \"wall_seconds\": " << text::format_double(report.wall_seconds)
+       << ",\n"
+       << "    \"cpu_seconds\": " << text::format_double(report.cpu_seconds)
+       << ",\n"
        << "    \"tasks_per_second\": "
-       << fmt(report.wall_seconds > 0.0
+       << text::format_double(
+              report.wall_seconds > 0.0
                   ? static_cast<double>(report.tasks) / report.wall_seconds
                   : 0.0)
        << ",\n    \"events_per_second\": "
-       << fmt(report.wall_seconds > 0.0
+       << text::format_double(
+              report.wall_seconds > 0.0
                   ? static_cast<double>(report.events) / report.wall_seconds
                   : 0.0)
        << ",\n    \"parallel_efficiency\": "
-       << fmt(report.wall_seconds > 0.0 && report.threads > 0
-                  ? report.cpu_seconds /
-                        (report.wall_seconds *
-                         static_cast<double>(report.threads))
-                  : 0.0)
+       << text::format_double(report.wall_seconds > 0.0 && report.threads > 0
+                                  ? report.cpu_seconds /
+                                        (report.wall_seconds *
+                                         static_cast<double>(report.threads))
+                                  : 0.0)
        << "\n  }";
   }
   os << "\n}\n";
@@ -313,23 +322,32 @@ void write_report_csv(std::ostream& os, const CampaignReport& report) {
        << csv_field(c.mix) << ',' << csv_field(c.faults) << ',' << c.tasks
        << ','
        << c.failures << ',' << c.bounded << ',' << c.soundness_violations
-       << ',' << fmt(c.thm46_max_gap) << ','
-       << fmt(c.claimed.acc.count() == 0 ? 0.0 : c.claimed.acc.mean()) << ','
-       << fmt(c.claimed.quantiles.quantile(0.50)) << ','
-       << fmt(c.claimed.quantiles.quantile(0.95)) << ','
-       << fmt(c.claimed.quantiles.quantile(0.99)) << ','
-       << fmt(c.ratio.acc.count() == 0 ? 0.0 : c.ratio.acc.mean()) << ','
-       << fmt(c.ratio.quantiles.quantile(0.95)) << ','
-       << fmt(c.optimality_gap.quantiles.quantile(0.50)) << ','
-       << fmt(c.optimality_gap.quantiles.quantile(0.95)) << ','
-       << fmt(c.optimality_gap.quantiles.quantile(0.99)) << ','
-       << fmt(c.realized_max) << ',' << c.events << ',' << c.delivered << ','
-       << c.dropped << ',' << csv_field(c.zones) << ',' << c.zone_count
-       << ',' << c.zone_max_size << ',' << fmt(c.zone_a_max_max) << ','
-       << fmt(c.realized_intra_max) << ',' << fmt(c.realized_cross_max)
-       << ',' << csv_field(c.drift) << ',' << c.drift_epochs << ','
-       << fmt(c.drift_window_max) << ',' << fmt(c.drift_bound_max) << ','
-       << fmt(c.drift_slope_max) << ',' << csv_field(c.byz) << ','
+       << ',' << text::format_double(c.thm46_max_gap) << ','
+       << text::format_double(
+              c.claimed.acc.count() == 0 ? 0.0 : c.claimed.acc.mean())
+       << ',' << text::format_double(c.claimed.quantiles.quantile(0.50))
+       << ',' << text::format_double(c.claimed.quantiles.quantile(0.95))
+       << ',' << text::format_double(c.claimed.quantiles.quantile(0.99))
+       << ','
+       << text::format_double(
+              c.ratio.acc.count() == 0 ? 0.0 : c.ratio.acc.mean())
+       << ',' << text::format_double(c.ratio.quantiles.quantile(0.95)) << ','
+       << text::format_double(c.optimality_gap.quantiles.quantile(0.50))
+       << ','
+       << text::format_double(c.optimality_gap.quantiles.quantile(0.95))
+       << ','
+       << text::format_double(c.optimality_gap.quantiles.quantile(0.99))
+       << ',' << text::format_double(c.realized_max) << ',' << c.events
+       << ',' << c.delivered << ',' << c.dropped << ','
+       << csv_field(c.zones) << ',' << c.zone_count << ','
+       << c.zone_max_size << ',' << text::format_double(c.zone_a_max_max)
+       << ',' << text::format_double(c.realized_intra_max) << ','
+       << text::format_double(c.realized_cross_max) << ','
+       << csv_field(c.drift) << ',' << c.drift_epochs << ','
+       << text::format_double(c.drift_window_max) << ','
+       << text::format_double(c.drift_bound_max) << ','
+       << text::format_double(c.drift_slope_max) << ',' << csv_field(c.byz)
+       << ','
        << c.byz_epochs << ',' << c.byz_detected << ',' << c.byz_violations
        << ',' << c.byz_lied_stamps << ',' << c.byz_quorum_dropped << '\n';
   }
@@ -351,7 +369,7 @@ void print_report(std::ostream& os, const CampaignReport& report,
   os << "\ncampaign '" << report.spec.name << "': " << report.tasks
      << " tasks, " << report.failures << " failures, "
      << report.soundness_violations << " soundness violations, "
-     << "max Thm 4.6 gap " << fmt(report.thm46_max_gap)
+     << "max Thm 4.6 gap " << text::format_double(report.thm46_max_gap)
      << " (fault-free cells)\n";
   if (include_timing)
     os << "threads " << report.threads << ", wall "

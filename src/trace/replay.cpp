@@ -1,21 +1,12 @@
 #include "trace/replay.hpp"
 
-#include <cstdio>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace cs {
 namespace {
-
-std::string num(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "inf";
-  if (v == -std::numeric_limits<double>::infinity()) return "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 /// Bounded divergence collector: keeps the first `cap` messages and counts
 /// the rest, so reports stay readable on badly diverged inputs.
@@ -53,7 +44,8 @@ void compare_u64(Report& out, const std::string& what, std::uint64_t a,
 
 void compare_num(Report& out, const std::string& what, double a, double b) {
   if (!(a == b))  // bit-level intent; traces never contain NaN
-    out.add(what + ": " + num(a) + " vs " + num(b));
+    out.add(what + ": " + text::format_double(a) + " vs " +
+            text::format_double(b));
 }
 
 /// Field-level comparison of one epoch's recorded outcome rows; used both

@@ -1,80 +1,17 @@
 #include "trace/trace.hpp"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "io/views_io.hpp"
 
 namespace cs {
 namespace {
 
 constexpr const char* kHeader = "chronosync-trace v1";
-
-std::string fmt(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "inf";
-  if (v == -std::numeric_limits<double>::infinity()) return "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& what) {
-  throw Error("trace parse error at line " + std::to_string(line_no) + ": " +
-              what);
-}
-
-double parse_double(const std::string& tok, std::size_t line_no) {
-  if (tok == "inf") return std::numeric_limits<double>::infinity();
-  if (tok == "-inf") return -std::numeric_limits<double>::infinity();
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != tok.size())
-    parse_fail(line_no, "bad number '" + tok + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& tok, std::size_t line_no) {
-  if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
-    parse_fail(line_no, "bad unsigned integer '" + tok + "'");
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size())
-    parse_fail(line_no, "bad unsigned integer '" + tok + "'");
-  return v;
-}
-
-/// Reads the next meaningful line (skipping comments/blanks); false at EOF.
-bool next_line(std::istream& is, std::string& line, std::size_t& line_no) {
-  while (std::getline(is, line)) {
-    ++line_no;
-    std::size_t i = 0;
-    while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
-      ++i;
-    if (i == line.size() || line[i] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream ss(line);
-  std::vector<std::string> toks;
-  std::string t;
-  while (ss >> t) toks.push_back(t);
-  return toks;
-}
 
 const char* loss_cause_name(LossCause c) {
   switch (c) {
@@ -85,11 +22,11 @@ const char* loss_cause_name(LossCause c) {
   return "?";
 }
 
-LossCause parse_loss_cause(const std::string& tok, std::size_t line_no) {
+LossCause parse_loss_cause(const text::LineReader& r, std::string_view tok) {
   if (tok == "sampler") return LossCause::kSampler;
   if (tok == "drop") return LossCause::kFaultDrop;
   if (tok == "down") return LossCause::kLinkDown;
-  parse_fail(line_no, "unknown loss cause '" + tok + "'");
+  r.fail("unknown loss cause '" + std::string(tok) + "'");
 }
 
 const char* apsp_name(ApspAlgorithm a) {
@@ -100,39 +37,41 @@ const char* match_name(MatchPolicy m) {
   return m == MatchPolicy::kStrict ? "strict" : "drop-orphans";
 }
 
-}  // namespace
-
-std::string format_event(const TraceEvent& ev) {
-  std::ostringstream os;
-  os << "event " << static_cast<char>(ev.kind) << ' ' << fmt(ev.real.sec);
+void put_event(text::Writer& w, const TraceEvent& ev) {
+  w << "event " << static_cast<char>(ev.kind) << ' ' << ev.real.sec;
   switch (ev.kind) {
     case TraceEvent::Kind::kSend:
     case TraceEvent::Kind::kDeliver:
-      os << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' '
-         << fmt(ev.clock.sec);
+      w << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' ' << ev.clock.sec;
       break;
     case TraceEvent::Kind::kLoss:
-      os << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' '
-         << loss_cause_name(ev.cause);
+      w << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' '
+        << loss_cause_name(ev.cause);
       break;
     case TraceEvent::Kind::kCrashDrop:
-      os << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg;
+      w << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg;
       break;
     case TraceEvent::Kind::kDuplicate:
     case TraceEvent::Kind::kSpike:
-      os << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' '
-         << fmt(ev.extra);
+      w << ' ' << ev.a << ' ' << ev.b << ' ' << ev.msg << ' ' << ev.extra;
       break;
     case TraceEvent::Kind::kTimerSet:
     case TraceEvent::Kind::kTimerFire:
-      os << ' ' << ev.a << ' ' << fmt(ev.clock.sec) << ' '
-         << fmt(ev.timer_at.sec);
+      w << ' ' << ev.a << ' ' << ev.clock.sec << ' ' << ev.timer_at.sec;
       break;
     case TraceEvent::Kind::kTimerSuppressed:
-      os << ' ' << ev.a << ' ' << fmt(ev.timer_at.sec);
+      w << ' ' << ev.a << ' ' << ev.timer_at.sec;
       break;
   }
-  return os.str();
+}
+
+}  // namespace
+
+std::string format_event(const TraceEvent& ev) {
+  std::string out;
+  text::Writer w(out);
+  put_event(w, ev);
+  return out;
 }
 
 bool EpochRecord::operator==(const EpochRecord& o) const {
@@ -171,320 +110,310 @@ SystemModel Trace::model() const {
 }
 
 void save_trace(std::ostream& os, const Trace& trace) {
-  os << kHeader << '\n';
-  os << "processors " << trace.processors << '\n';
-  os << "seed " << trace.seed << '\n';
+  text::Writer w(os);
+  w << kHeader << '\n';
+  w << "processors " << trace.processors << '\n';
+  w << "seed " << trace.seed << '\n';
   for (std::size_t p = 0; p < trace.starts.size(); ++p)
-    os << "start " << p << ' ' << fmt(trace.starts[p]) << '\n';
+    w << "start " << p << ' ' << trace.starts[p] << '\n';
   for (std::size_t p = 0; p < trace.rates.size(); ++p)
-    os << "rate " << p << ' ' << fmt(trace.rates[p]) << '\n';
+    w << "rate " << p << ' ' << trace.rates[p] << '\n';
 
-  os << "begin model\n" << trace.model_text;
-  if (!trace.model_text.empty() && trace.model_text.back() != '\n') os << '\n';
-  os << "end model\n";
+  w << "begin model\n" << trace.model_text;
+  if (!trace.model_text.empty() && trace.model_text.back() != '\n') w << '\n';
+  w << "end model\n";
 
   const ReplayPlan& plan = trace.plan;
-  os << "pipeline " << (plan.incremental ? "incremental" : "rebuild") << '\n';
-  os << "root " << plan.options.sync.root << '\n';
-  os << "apsp " << apsp_name(plan.options.sync.apsp) << '\n';
-  os << "match " << match_name(plan.options.sync.match) << '\n';
-  os << "window " << fmt(plan.options.window.sec) << '\n';
+  w << "pipeline " << (plan.incremental ? "incremental" : "rebuild") << '\n';
+  w << "root " << plan.options.sync.root << '\n';
+  w << "apsp " << apsp_name(plan.options.sync.apsp) << '\n';
+  w << "match " << match_name(plan.options.sync.match) << '\n';
+  w << "window " << plan.options.window.sec << '\n';
   const StalenessOptions& st = plan.options.staleness;
-  os << "staleness " << (st.carry_forward ? 1 : 0) << ' '
-     << fmt(st.widen_per_epoch) << ' ';
+  w << "staleness " << (st.carry_forward ? '1' : '0') << ' '
+    << st.widen_per_epoch << ' ';
   if (st.max_carry_epochs == std::numeric_limits<std::size_t>::max())
-    os << "inf";
+    w << "inf";
   else
-    os << st.max_carry_epochs;
-  os << '\n';
-  for (const ClockTime b : plan.boundaries)
-    os << "boundary " << fmt(b.sec) << '\n';
+    w << st.max_carry_epochs;
+  w << '\n';
+  for (const ClockTime b : plan.boundaries) w << "boundary " << b.sec << '\n';
 
-  for (const TraceEvent& ev : trace.events) os << format_event(ev) << '\n';
+  for (const TraceEvent& ev : trace.events) {
+    put_event(w, ev);
+    w << '\n';
+  }
 
   for (const auto& [name, value] : trace.tallies)
-    os << "tally " << name << ' ' << value << '\n';
+    w << "tally " << name << ' ' << value << '\n';
 
   for (std::size_t k = 0; k < trace.recorded.size(); ++k) {
     const EpochRecord& r = trace.recorded[k];
-    os << "outcome " << k << " boundary " << fmt(r.boundary.sec)
-       << " precision " << fmt(r.precision.value()) << " carried "
-       << r.carried_edges << " coverage " << r.observed_directions << ' '
-       << r.total_directions << " pairing " << r.pairing.paired << ' '
-       << r.pairing.orphan_receives << ' ' << r.pairing.duplicate_receives
-       << ' ' << r.pairing.unreceived_sends << " components "
-       << r.component_precision.size();
-    for (const double p : r.component_precision) os << ' ' << fmt(p);
-    os << " corrections";
-    for (const double c : r.corrections) os << ' ' << fmt(c);
-    os << '\n';
+    w << "outcome " << k << " boundary " << r.boundary.sec << " precision "
+      << r.precision.value() << " carried " << r.carried_edges
+      << " coverage " << r.observed_directions << ' ' << r.total_directions
+      << " pairing " << r.pairing.paired << ' ' << r.pairing.orphan_receives
+      << ' ' << r.pairing.duplicate_receives << ' '
+      << r.pairing.unreceived_sends << " components "
+      << r.component_precision.size();
+    for (const double p : r.component_precision) w << ' ' << p;
+    w << " corrections";
+    for (const double c : r.corrections) w << ' ' << c;
+    w << '\n';
   }
 
   for (const auto& [name, value] : trace.counters)
-    os << "counter " << name << ' ' << value << '\n';
-  os << "end trace\n";
+    w << "counter " << name << ' ' << value << '\n';
+  w << "end trace\n";
+  w.flush();
 }
 
 namespace {
 
-TraceEvent parse_event(const std::vector<std::string>& toks,
-                       std::size_t line_no) {
-  // toks[0] == "event"; toks[1] is the tag, toks[2] the real time.
-  if (toks.size() < 3) parse_fail(line_no, "truncated event record");
-  if (toks[1].size() != 1)
-    parse_fail(line_no, "unknown event tag '" + toks[1] + "'");
+TraceEvent parse_event(const text::LineReader& r) {
+  // r[0] == "event"; r[1] is the tag, r[2] the real time.
+  if (r.size() < 3) r.fail("truncated event record");
+  if (r[1].size() != 1)
+    r.fail("unknown event tag '" + std::string(r[1]) + "'");
   TraceEvent ev;
-  ev.real = RealTime{parse_double(toks[2], line_no)};
-  const char tag = toks[1][0];
+  ev.real = RealTime{r.number(r[2])};
+  const char tag = r[1][0];
   auto need = [&](std::size_t n) {
-    if (toks.size() != n)
-      parse_fail(line_no, std::string("wrong field count for event '") + tag +
-                              "' (got " + std::to_string(toks.size() - 1) +
-                              " fields)");
+    if (r.size() != n)
+      r.fail(std::string("wrong field count for event '") + tag + "' (got " +
+             std::to_string(r.size() - 1) + " fields)");
+  };
+  auto pid = [&](std::size_t i) {
+    return static_cast<ProcessorId>(r.u64(r[i]));
   };
   switch (tag) {
     case 'D':
     case 'R':
       need(7);
       ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.b = static_cast<ProcessorId>(parse_u64(toks[4], line_no));
-      ev.msg = parse_u64(toks[5], line_no);
-      ev.clock = ClockTime{parse_double(toks[6], line_no)};
+      ev.a = pid(3);
+      ev.b = pid(4);
+      ev.msg = r.u64(r[5]);
+      ev.clock = ClockTime{r.number(r[6])};
       break;
     case 'L':
       need(7);
       ev.kind = TraceEvent::Kind::kLoss;
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.b = static_cast<ProcessorId>(parse_u64(toks[4], line_no));
-      ev.msg = parse_u64(toks[5], line_no);
-      ev.cause = parse_loss_cause(toks[6], line_no);
+      ev.a = pid(3);
+      ev.b = pid(4);
+      ev.msg = r.u64(r[5]);
+      ev.cause = parse_loss_cause(r, r[6]);
       break;
     case 'X':
       need(6);
       ev.kind = TraceEvent::Kind::kCrashDrop;
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.b = static_cast<ProcessorId>(parse_u64(toks[4], line_no));
-      ev.msg = parse_u64(toks[5], line_no);
+      ev.a = pid(3);
+      ev.b = pid(4);
+      ev.msg = r.u64(r[5]);
       break;
     case 'U':
     case 'K':
       need(7);
       ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.b = static_cast<ProcessorId>(parse_u64(toks[4], line_no));
-      ev.msg = parse_u64(toks[5], line_no);
-      ev.extra = parse_double(toks[6], line_no);
+      ev.a = pid(3);
+      ev.b = pid(4);
+      ev.msg = r.u64(r[5]);
+      ev.extra = r.number(r[6]);
       break;
     case 'T':
     case 'F':
       need(6);
       ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.clock = ClockTime{parse_double(toks[4], line_no)};
-      ev.timer_at = ClockTime{parse_double(toks[5], line_no)};
+      ev.a = pid(3);
+      ev.clock = ClockTime{r.number(r[4])};
+      ev.timer_at = ClockTime{r.number(r[5])};
       break;
     case 'Z':
       need(5);
       ev.kind = TraceEvent::Kind::kTimerSuppressed;
-      ev.a = static_cast<ProcessorId>(parse_u64(toks[3], line_no));
-      ev.timer_at = ClockTime{parse_double(toks[4], line_no)};
+      ev.a = pid(3);
+      ev.timer_at = ClockTime{r.number(r[4])};
       break;
     default:
-      parse_fail(line_no, "unknown event tag '" + toks[1] + "'");
+      r.fail("unknown event tag '" + std::string(r[1]) + "'");
   }
   return ev;
 }
 
-EpochRecord parse_outcome(const std::vector<std::string>& toks,
-                          std::size_t line_no, std::size_t processors) {
+EpochRecord parse_outcome(const text::LineReader& r, std::size_t processors) {
   // outcome <k> boundary <t> precision <p> carried <n> coverage <o> <t>
   //   pairing <p> <o> <d> <u> components <k> <p...> corrections <c...>
-  EpochRecord r;
+  EpochRecord rec;
   std::size_t i = 2;
-  auto take = [&]() -> const std::string& {
-    if (i >= toks.size())
-      parse_fail(line_no, "truncated outcome record");
-    return toks[i++];
+  auto take = [&]() {
+    if (i >= r.size()) r.fail("truncated outcome record");
+    return r[i++];
   };
   auto expect = [&](const char* label) {
-    const std::string& got = take();
+    const std::string_view got = take();
     if (got != label)
-      parse_fail(line_no, std::string("expected '") + label +
-                              "' segment in outcome record, got '" + got +
-                              "'");
+      r.fail(std::string("expected '") + label +
+             "' segment in outcome record, got '" + std::string(got) + "'");
   };
   expect("boundary");
-  r.boundary = ClockTime{parse_double(take(), line_no)};
+  rec.boundary = ClockTime{r.number(take())};
   expect("precision");
-  r.precision = ExtReal{parse_double(take(), line_no)};
+  rec.precision = ExtReal{r.number(take())};
   expect("carried");
-  r.carried_edges = parse_u64(take(), line_no);
+  rec.carried_edges = r.u64(take());
   expect("coverage");
-  r.observed_directions = parse_u64(take(), line_no);
-  r.total_directions = parse_u64(take(), line_no);
+  rec.observed_directions = r.u64(take());
+  rec.total_directions = r.u64(take());
   expect("pairing");
-  r.pairing.paired = parse_u64(take(), line_no);
-  r.pairing.orphan_receives = parse_u64(take(), line_no);
-  r.pairing.duplicate_receives = parse_u64(take(), line_no);
-  r.pairing.unreceived_sends = parse_u64(take(), line_no);
+  rec.pairing.paired = r.u64(take());
+  rec.pairing.orphan_receives = r.u64(take());
+  rec.pairing.duplicate_receives = r.u64(take());
+  rec.pairing.unreceived_sends = r.u64(take());
   expect("components");
-  const std::size_t comp = parse_u64(take(), line_no);
+  const std::size_t comp = r.u64(take());
   for (std::size_t c = 0; c < comp; ++c)
-    r.component_precision.push_back(parse_double(take(), line_no));
+    rec.component_precision.push_back(r.number(take()));
   expect("corrections");
-  while (i < toks.size())
-    r.corrections.push_back(parse_double(toks[i++], line_no));
-  if (r.corrections.size() != processors)
-    parse_fail(line_no, "corrections count mismatch: got " +
-                            std::to_string(r.corrections.size()) +
-                            ", expected " + std::to_string(processors));
-  return r;
+  while (i < r.size()) rec.corrections.push_back(r.number(r[i++]));
+  if (rec.corrections.size() != processors)
+    r.fail("corrections count mismatch: got " +
+           std::to_string(rec.corrections.size()) + ", expected " +
+           std::to_string(processors));
+  return rec;
 }
 
 }  // namespace
 
 Trace load_trace(std::istream& is) {
-  std::string line;
-  std::size_t line_no = 0;
-  if (!next_line(is, line, line_no))
-    parse_fail(1, "empty stream (expected '" + std::string(kHeader) + "')");
-  if (tokens_of(line) != tokens_of(kHeader))
-    parse_fail(line_no, "expected header '" + std::string(kHeader) +
-                            "', got '" + line + "'");
+  text::LineReader r(is, "trace parse error");
+  if (!r.next())
+    r.fail_at(1, "empty stream (expected '" + std::string(kHeader) + "')");
+  if (!r.is(kHeader))
+    r.fail("expected header '" + std::string(kHeader) + "', got '" +
+           r.line() + "'");
 
   Trace trace;
   bool saw_processors = false;
   bool saw_end = false;
   std::size_t next_outcome = 0;
 
-  while (next_line(is, line, line_no)) {
-    auto toks = tokens_of(line);
-    const std::string& key = toks[0];
+  while (r.next()) {
+    const std::string_view key = r[0];
     auto need = [&](std::size_t n) {
-      if (toks.size() != n)
-        parse_fail(line_no, "wrong field count in '" + key + "' record: '" +
-                                line + "'");
+      if (r.size() != n)
+        r.fail("wrong field count in '" + std::string(key) + "' record: '" +
+               r.line() + "'");
     };
-    if (key == "processors") {
+    if (key == "event") {
+      trace.events.push_back(parse_event(r));
+    } else if (key == "processors") {
       need(2);
-      trace.processors = parse_u64(toks[1], line_no);
+      trace.processors = r.u64(r[1]);
       trace.starts.assign(trace.processors, 0.0);
       saw_processors = true;
     } else if (key == "seed") {
       need(2);
-      trace.seed = parse_u64(toks[1], line_no);
+      trace.seed = r.u64(r[1]);
     } else if (key == "start" || key == "rate") {
       need(3);
       if (!saw_processors)
-        parse_fail(line_no, "'" + key + "' before 'processors'");
-      const auto pid = parse_u64(toks[1], line_no);
+        r.fail("'" + std::string(key) + "' before 'processors'");
+      const auto pid = r.u64(r[1]);
       if (pid >= trace.processors)
-        parse_fail(line_no, "processor id out of range: '" + toks[1] + "'");
-      const double v = parse_double(toks[2], line_no);
+        r.fail("processor id out of range: '" + std::string(r[1]) + "'");
+      const double v = r.number(r[2]);
       if (key == "start") {
         trace.starts[pid] = v;
       } else {
         if (trace.rates.empty()) trace.rates.assign(trace.processors, 1.0);
         trace.rates[pid] = v;
       }
-    } else if (key == "begin" && toks.size() == 2 && toks[1] == "model") {
-      std::string raw;
+    } else if (r.is("begin model")) {
       bool closed = false;
-      std::ostringstream body;
-      while (std::getline(is, raw)) {
-        ++line_no;
-        if (tokens_of(raw) == std::vector<std::string>{"end", "model"}) {
+      std::string body;
+      while (r.next_raw()) {
+        if (r.is("end model")) {
           closed = true;
           break;
         }
-        body << raw << '\n';
+        body += r.line();
+        body += '\n';
       }
-      if (!closed) parse_fail(line_no, "unterminated embedded model block");
-      trace.model_text = body.str();
+      if (!closed) r.fail("unterminated embedded model block");
+      trace.model_text = std::move(body);
     } else if (key == "pipeline") {
       need(2);
-      if (toks[1] == "incremental")
+      if (r[1] == "incremental")
         trace.plan.incremental = true;
-      else if (toks[1] == "rebuild")
+      else if (r[1] == "rebuild")
         trace.plan.incremental = false;
       else
-        parse_fail(line_no, "unknown pipeline mode '" + toks[1] + "'");
+        r.fail("unknown pipeline mode '" + std::string(r[1]) + "'");
     } else if (key == "root") {
       need(2);
-      trace.plan.options.sync.root =
-          static_cast<NodeId>(parse_u64(toks[1], line_no));
+      trace.plan.options.sync.root = static_cast<NodeId>(r.u64(r[1]));
     } else if (key == "apsp") {
       need(2);
-      if (toks[1] == "johnson")
+      if (r[1] == "johnson")
         trace.plan.options.sync.apsp = ApspAlgorithm::kJohnson;
-      else if (toks[1] == "floyd-warshall")
+      else if (r[1] == "floyd-warshall")
         trace.plan.options.sync.apsp = ApspAlgorithm::kFloydWarshall;
       else
-        parse_fail(line_no, "unknown apsp algorithm '" + toks[1] + "'");
+        r.fail("unknown apsp algorithm '" + std::string(r[1]) + "'");
     } else if (key == "cycle-mean") {
       // Written by recorders that still offered a choice of cycle-mean
       // algorithm; their recorded corrections cannot replay bit for bit.
-      parse_fail(line_no,
-                 "record '" + line +
-                     "': the trace predates the single SHIFTS path (Howard "
-                     "+ Dijkstra corrections) and must be re-recorded; its "
-                     "recorded corrections cannot replay bit for bit");
+      r.fail("record '" + r.line() +
+             "': the trace predates the single SHIFTS path (Howard "
+             "+ Dijkstra corrections) and must be re-recorded; its "
+             "recorded corrections cannot replay bit for bit");
     } else if (key == "match") {
       need(2);
-      if (toks[1] == "strict")
+      if (r[1] == "strict")
         trace.plan.options.sync.match = MatchPolicy::kStrict;
-      else if (toks[1] == "drop-orphans")
+      else if (r[1] == "drop-orphans")
         trace.plan.options.sync.match = MatchPolicy::kDropOrphans;
       else
-        parse_fail(line_no, "unknown match policy '" + toks[1] + "'");
+        r.fail("unknown match policy '" + std::string(r[1]) + "'");
     } else if (key == "window") {
       need(2);
-      trace.plan.options.window = Duration{parse_double(toks[1], line_no)};
+      trace.plan.options.window = Duration{r.number(r[1])};
     } else if (key == "staleness") {
       need(4);
       StalenessOptions& st = trace.plan.options.staleness;
-      st.carry_forward = parse_u64(toks[1], line_no) != 0;
-      st.widen_per_epoch = parse_double(toks[2], line_no);
-      st.max_carry_epochs =
-          toks[3] == "inf" ? std::numeric_limits<std::size_t>::max()
-                           : parse_u64(toks[3], line_no);
+      st.carry_forward = r.u64(r[1]) != 0;
+      st.widen_per_epoch = r.number(r[2]);
+      st.max_carry_epochs = r[3] == "inf"
+                                ? std::numeric_limits<std::size_t>::max()
+                                : r.u64(r[3]);
     } else if (key == "boundary") {
       need(2);
-      trace.plan.boundaries.push_back(
-          ClockTime{parse_double(toks[1], line_no)});
-    } else if (key == "event") {
-      trace.events.push_back(parse_event(toks, line_no));
+      trace.plan.boundaries.push_back(ClockTime{r.number(r[1])});
     } else if (key == "tally") {
       need(3);
-      trace.tallies[toks[1]] = parse_u64(toks[2], line_no);
+      trace.tallies[std::string(r[1])] = r.u64(r[2]);
     } else if (key == "outcome") {
-      if (toks.size() < 2)
-        parse_fail(line_no, "truncated outcome record");
-      if (!saw_processors)
-        parse_fail(line_no, "'outcome' before 'processors'");
-      const std::size_t idx = parse_u64(toks[1], line_no);
+      if (r.size() < 2) r.fail("truncated outcome record");
+      if (!saw_processors) r.fail("'outcome' before 'processors'");
+      const std::size_t idx = r.u64(r[1]);
       if (idx != next_outcome)
-        parse_fail(line_no, "outcome records out of order: got index " +
-                                toks[1] + ", expected " +
-                                std::to_string(next_outcome));
+        r.fail("outcome records out of order: got index " + std::string(r[1]) +
+               ", expected " + std::to_string(next_outcome));
       ++next_outcome;
-      trace.recorded.push_back(
-          parse_outcome(toks, line_no, trace.processors));
+      trace.recorded.push_back(parse_outcome(r, trace.processors));
     } else if (key == "counter") {
       need(3);
-      trace.counters[toks[1]] = parse_u64(toks[2], line_no);
-    } else if (key == "end" && toks.size() == 2 && toks[1] == "trace") {
+      trace.counters[std::string(r[1])] = r.u64(r[2]);
+    } else if (r.is("end trace")) {
       saw_end = true;
       break;
     } else {
-      parse_fail(line_no, "unknown record '" + key + "'");
+      r.fail("unknown record '" + std::string(key) + "'");
     }
   }
-  if (!saw_end) parse_fail(line_no, "missing 'end trace' (truncated file?)");
-  if (!saw_processors) parse_fail(line_no, "missing 'processors' record");
-  if (trace.model_text.empty())
-    parse_fail(line_no, "missing embedded model block");
+  if (!saw_end) r.fail("missing 'end trace' (truncated file?)");
+  if (!saw_processors) r.fail("missing 'processors' record");
+  if (trace.model_text.empty()) r.fail("missing embedded model block");
   return trace;
 }
 

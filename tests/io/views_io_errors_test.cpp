@@ -129,6 +129,15 @@ TEST(ModelIoErrors, WrongFieldCountForKnownKind) {
   EXPECT_NE(msg.find("'bounds'"), std::string::npos) << msg;
 }
 
+TEST(ModelIoErrors, InvertedBoundsRaiseTypedError) {
+  // Refused in every build type, not left to Interval's assertion.
+  const std::string msg = model_error(
+      "chronosync-model v1\nprocessors 2\nlink 0 1 bounds 0.05 0.001\n");
+  EXPECT_NE(msg.find("lower delay bound exceeds the upper bound"),
+            std::string::npos)
+      << msg;
+}
+
 TEST(ModelIoErrors, UnknownKindIsNamed) {
   const std::string msg = model_error(
       "chronosync-model v1\nprocessors 2\nlink 0 1 warp 3\n");

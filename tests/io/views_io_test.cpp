@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -135,6 +139,66 @@ TEST(ModelIo, RejectsBadInput) {
         "chronosync-model v1\nprocessors 2\nlink 0 1 warp 3\n");
     EXPECT_THROW(load_model(ss), Error);
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ViewsIo, SubnormalsRoundTripExactly) {
+  // The views and model counterpart of TraceFormat.SubnormalsRoundTripExactly:
+  // every value the writers print reads back bit for bit.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> extremes = {denorm, 1e-310, -0.0,
+                                        inf,    -inf,   DBL_MAX};
+
+  std::vector<View> views(1);
+  for (std::size_t i = 0; i < extremes.size(); ++i) {
+    ViewEvent send;
+    send.kind = EventKind::kSend;
+    send.when = ClockTime{extremes[i]};
+    send.msg = i;
+    views[0].events.push_back(send);
+    ViewEvent timer;
+    timer.kind = EventKind::kTimerSet;
+    timer.when = ClockTime{extremes[(i + 1) % extremes.size()]};
+    timer.timer_at = ClockTime{extremes[(i + 2) % extremes.size()]};
+    views[0].events.push_back(timer);
+  }
+  std::stringstream vs;
+  save_views(vs, views);
+  const std::vector<View> back = load_views(vs);
+  ASSERT_EQ(back.size(), 1u);
+  ASSERT_EQ(back[0].events.size(), views[0].events.size());
+  for (std::size_t e = 0; e < views[0].events.size(); ++e) {
+    EXPECT_EQ(bits(back[0].events[e].when.sec),
+              bits(views[0].events[e].when.sec))
+        << "event " << e;
+    EXPECT_EQ(bits(back[0].events[e].timer_at.sec),
+              bits(views[0].events[e].timer_at.sec))
+        << "event " << e;
+  }
+
+  // Model values are non-negative delays and bias bounds, so -inf has no
+  // place to go; the others do.
+  Topology topo{4, {{0, 1}, {1, 2}, {2, 3}}};
+  SystemModel model(std::move(topo));
+  model.set_constraint(make_bounds(0, 1, denorm, DBL_MAX));
+  model.set_constraint(make_bias(1, 2, 1e-310));
+  model.set_constraint(make_windowed_bias(2, 3, -0.0, inf));
+  std::stringstream ms;
+  save_model(ms, model);
+  const SystemModel loaded = load_model(ms);
+  const auto& b =
+      dynamic_cast<const BoundsConstraint&>(loaded.constraint(0, 1));
+  EXPECT_EQ(bits(b.bounds(0).lo().value()), bits(denorm));
+  EXPECT_EQ(bits(b.bounds(0).hi().value()), bits(DBL_MAX));
+  EXPECT_EQ(
+      bits(dynamic_cast<const BiasConstraint&>(loaded.constraint(1, 2)).bias()),
+      bits(1e-310));
+  const auto& wb =
+      dynamic_cast<const WindowedBiasConstraint&>(loaded.constraint(2, 3));
+  EXPECT_EQ(bits(wb.bias()), bits(-0.0));
+  EXPECT_EQ(bits(wb.window()), bits(inf));
 }
 
 TEST(ViewsIo, FileHelpersRejectMissingPaths) {

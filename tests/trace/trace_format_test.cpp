@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -160,6 +164,83 @@ TEST(TraceFormat, RoundTripExact) {
   EXPECT_EQ(back.counters, t.counters);
 }
 
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(TraceFormat, SubnormalsRoundTripExactly) {
+  // Every double the writer prints reads back bit for bit: subnormals
+  // (which std::stod refused as out of range), signed zero, the
+  // infinities and the largest finite value.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> extremes = {
+      std::numeric_limits<double>::denorm_min(), 1e-310, -0.0, inf, -inf,
+      DBL_MAX};
+  Trace t = exhaustive_trace();
+  t.processors = extremes.size();
+  t.starts = extremes;
+  t.rates = extremes;
+  t.plan.options.window = Duration{1e-310};
+  t.plan.options.staleness.widen_per_epoch = -0.0;
+  t.plan.boundaries.clear();
+  for (const double v : extremes) t.plan.boundaries.push_back(ClockTime{v});
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    t.events[i].real = RealTime{extremes[i % extremes.size()]};
+    t.events[i].clock = ClockTime{extremes[(i + 1) % extremes.size()]};
+    t.events[i].timer_at = ClockTime{extremes[(i + 2) % extremes.size()]};
+    t.events[i].extra = extremes[(i + 3) % extremes.size()];
+  }
+  for (EpochRecord& rec : t.recorded) {
+    rec.boundary = ClockTime{std::numeric_limits<double>::denorm_min()};
+    rec.component_precision = extremes;
+    rec.corrections = extremes;
+  }
+
+  std::stringstream ss;
+  save_trace(ss, t);
+  const Trace back = load_trace(ss);
+
+  EXPECT_EQ(bits(back.starts), bits(t.starts));
+  EXPECT_EQ(bits(back.rates), bits(t.rates));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(back.plan.options.window.sec),
+            std::bit_cast<std::uint64_t>(1e-310));
+  EXPECT_EQ(
+      std::bit_cast<std::uint64_t>(back.plan.options.staleness.widen_per_epoch),
+      std::bit_cast<std::uint64_t>(-0.0));
+  ASSERT_EQ(back.plan.boundaries.size(), extremes.size());
+  for (std::size_t i = 0; i < extremes.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.plan.boundaries[i].sec),
+              std::bit_cast<std::uint64_t>(extremes[i]));
+  ASSERT_EQ(back.events.size(), t.events.size());
+  for (std::size_t i = 0; i < t.events.size(); ++i) {
+    const TraceEvent& a = t.events[i];
+    const TraceEvent& b = back.events[i];
+    SCOPED_TRACE("event " + std::to_string(i));
+    EXPECT_EQ(bits({b.real.sec}), bits({a.real.sec}));
+    using K = TraceEvent::Kind;
+    if (a.kind == K::kSend || a.kind == K::kDeliver ||
+        a.kind == K::kTimerSet || a.kind == K::kTimerFire) {
+      EXPECT_EQ(bits({b.clock.sec}), bits({a.clock.sec}));
+    }
+    if (a.kind == K::kTimerSet || a.kind == K::kTimerFire ||
+        a.kind == K::kTimerSuppressed) {
+      EXPECT_EQ(bits({b.timer_at.sec}), bits({a.timer_at.sec}));
+    }
+    if (a.kind == K::kDuplicate || a.kind == K::kSpike) {
+      EXPECT_EQ(bits({b.extra}), bits({a.extra}));
+    }
+  }
+  ASSERT_EQ(back.recorded.size(), t.recorded.size());
+  for (std::size_t k = 0; k < t.recorded.size(); ++k) {
+    EXPECT_EQ(bits({back.recorded[k].boundary.sec}),
+              bits({std::numeric_limits<double>::denorm_min()}));
+    EXPECT_EQ(bits(back.recorded[k].component_precision), bits(extremes));
+    EXPECT_EQ(bits(back.recorded[k].corrections), bits(extremes));
+  }
+}
+
 TEST(TraceFormat, SerializationIsDeterministic) {
   const Trace t = exhaustive_trace();
   std::stringstream a, b;
@@ -267,6 +348,18 @@ TEST(TraceFormatErrors, BadNumberNamesToken) {
   const std::string msg = trace_error(mutate_line(3, "seed banana"));
   EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
   EXPECT_NE(msg.find("'banana'"), std::string::npos) << msg;
+}
+
+TEST(TraceFormatErrors, U64OverflowNamesToken) {
+  // One past UINT64_MAX is refused, not clamped to UINT64_MAX.
+  const std::string msg =
+      trace_error(mutate_line(3, "seed 18446744073709551616"));
+  EXPECT_NE(msg.find("line 3: bad unsigned integer '18446744073709551616'"),
+            std::string::npos)
+      << msg;
+
+  std::istringstream max(mutate_line(3, "seed 18446744073709551615"));
+  EXPECT_EQ(load_trace(max).seed, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(TraceFormatErrors, CycleMeanPlanLineNamesTheReRecord) {

@@ -1,0 +1,193 @@
+// The text grammar under hostile input: the number grammar shared by the
+// trace, views and model readers, and the trace reader's totality on
+// truncated and corrupted documents — every input loads or raises a
+// line-numbered cs::Error, never another exception, a crash or a hang.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cfloat>
+#include <cstdint>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <random>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "common/error.hpp"
+#include "delaymodel/constraint.hpp"
+#include "io/views_io.hpp"
+#include "trace/trace.hpp"
+
+#ifndef CS_TEST_DATA_DIR
+#error "CS_TEST_DATA_DIR must point at tests/data"
+#endif
+
+namespace cs {
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+template <class Load>
+std::optional<std::string> error_of(Load load) {
+  try {
+    load();
+  } catch (const Error& e) {
+    return std::string(e.what());
+  }
+  return std::nullopt;
+}
+
+TEST(TraceText, NumberGrammarPinnedInEveryReader) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* token;
+    std::optional<double> value;  ///< nullopt: the grammar rejects it
+  };
+  const Case cases[] = {
+      {"0.25", 0.25},
+      {"-0", -0.0},
+      {"inf", kInf},
+      {"-inf", -kInf},
+      {"4.9406564584124654e-324", std::numeric_limits<double>::denorm_min()},
+      {"1e-310", 1e-310},
+      {"1.7976931348623157e+308", DBL_MAX},
+      {"+1.5", std::nullopt},
+      {"0x1p3", std::nullopt},
+      {"nan", std::nullopt},
+      {"-nan", std::nullopt},
+      {"1e999", std::nullopt},
+      {"1e-400", std::nullopt},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.token);
+    const std::string tok = c.token;
+    const std::string bad = "bad number '" + tok + "'";
+
+    // Trace: the token is a start offset on line 4.
+    Trace trace;
+    const auto trace_err = error_of([&] {
+      std::istringstream is("chronosync-trace v1\nprocessors 1\nseed 0\n"
+                            "start 0 " + tok + "\nbegin model\n"
+                            "chronosync-model v1\nprocessors 1\nend model\n"
+                            "end trace\n");
+      trace = load_trace(is);
+    });
+    // Views: the token is a start event's clock on line 4.
+    std::vector<View> views;
+    const auto views_err = error_of([&] {
+      std::istringstream is(
+          "chronosync-views v1\nprocessors 1\nview 0 1\nS " + tok + "\n");
+      views = load_views(is);
+    });
+    // Model: the token is a bias bound on line 3.
+    std::optional<SystemModel> model;
+    const auto model_err = error_of([&] {
+      std::istringstream is("chronosync-model v1\nprocessors 2\n"
+                            "link 0 1 bias " + tok + "\n");
+      model.emplace(load_model(is));
+    });
+
+    if (!c.value) {
+      EXPECT_EQ(trace_err, "trace parse error at line 4: " + bad);
+      EXPECT_EQ(views_err, "parse error at line 4: " + bad);
+      EXPECT_EQ(model_err, "parse error at line 3: " + bad);
+      continue;
+    }
+    ASSERT_FALSE(trace_err) << *trace_err;
+    EXPECT_EQ(bits(trace.starts.at(0)), bits(*c.value));
+    ASSERT_FALSE(views_err) << *views_err;
+    EXPECT_EQ(bits(views.at(0).events.at(0).when.sec), bits(*c.value));
+    if (*c.value < 0.0) {
+      // Parsed, then refused as a delay assumption: no bias is negative.
+      ASSERT_TRUE(model_err);
+      EXPECT_EQ(model_err->find("bad number"), std::string::npos)
+          << *model_err;
+    } else {
+      ASSERT_FALSE(model_err) << *model_err;
+      EXPECT_EQ(
+          bits(dynamic_cast<const BiasConstraint&>(model->constraint(0, 1))
+                   .bias()),
+          bits(*c.value));
+    }
+  }
+}
+
+std::string golden(const std::string& name) {
+  std::ifstream is(std::string(CS_TEST_DATA_DIR) + "/" + name);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
+/// Feeds `doc` to load_trace and, when it loads, the embedded model to
+/// load_model.  Returns a description of any outcome other than a load or
+/// a cs::Error (for the trace: one that names its line).
+std::optional<std::string> untyped_outcome(const std::string& doc) {
+  try {
+    std::istringstream is(doc);
+    const Trace trace = load_trace(is);
+    try {
+      (void)trace.model();
+    } catch (const Error&) {
+    }
+  } catch (const Error& e) {
+    if (std::string_view(e.what()).starts_with("trace parse error at line "))
+      return std::nullopt;
+    return std::string("cs::Error without a line: ") + e.what();
+  } catch (const std::exception& e) {
+    return std::string("untyped exception: ") + e.what();
+  }
+  return std::nullopt;
+}
+
+TEST(TraceText, EveryPrefixAndByteFlipLoadsOrThrowsTyped) {
+  std::vector<std::string> failures;
+  auto check = [&](const std::string& doc, const std::string& what) {
+    if (auto bad = untyped_outcome(doc)) failures.push_back(what + ": " + *bad);
+  };
+
+  const std::string clean = golden("golden_clean.trace");
+  ASSERT_GT(clean.size(), 10000u);
+  for (std::size_t n = 0; n <= clean.size(); ++n)
+    check(clean.substr(0, n), "golden_clean byte prefix " + std::to_string(n));
+
+  const char* const others[] = {"golden_faulty.trace", "golden_windowed.trace",
+                                "golden_drifting.trace"};
+  for (const char* name : others) {
+    const std::string doc = golden(name);
+    ASSERT_FALSE(doc.empty()) << name;
+    std::size_t lines = 0;
+    for (std::size_t end = doc.find('\n'); end != std::string::npos;
+         end = doc.find('\n', end + 1))
+      check(doc.substr(0, end + 1),
+            std::string(name) + " line prefix " + std::to_string(++lines));
+  }
+
+  // Single-byte mutations: 500 per golden, any byte value but the original.
+  std::mt19937_64 rng(0x7EC5);
+  for (const char* name : {"golden_clean.trace", "golden_faulty.trace",
+                           "golden_windowed.trace", "golden_drifting.trace"}) {
+    const std::string doc = golden(name);
+    for (int m = 0; m < 500; ++m) {
+      std::string mutated = doc;
+      const std::size_t pos = rng() % doc.size();
+      mutated[pos] = static_cast<char>(
+          static_cast<unsigned char>(doc[pos]) + 1 + rng() % 255);
+      check(mutated, std::string(name) + " byte " + std::to_string(pos) +
+                         " := " +
+                         std::to_string(static_cast<unsigned char>(
+                             mutated[pos])));
+    }
+  }
+
+  EXPECT_TRUE(failures.empty()) << failures.size() << " failures; first: "
+                                << (failures.empty() ? "" : failures[0]);
+}
+
+}  // namespace
+}  // namespace cs

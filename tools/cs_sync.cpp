@@ -27,6 +27,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "common/version.hpp"
 #include "core/epochs.hpp"
 #include "core/synchronizer.hpp"
@@ -138,19 +139,11 @@ std::vector<std::string> split(const std::string& text, char sep) {
 // ---------------------------------------------------------------------------
 // Output helpers
 
-std::string num(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "inf";
-  if (v == -std::numeric_limits<double>::infinity()) return "-inf";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// JSON number: "inf" is not valid JSON, so infinities become strings.
 std::string jnum(double v) {
   if (v == std::numeric_limits<double>::infinity()) return "\"inf\"";
   if (v == -std::numeric_limits<double>::infinity()) return "\"-inf\"";
-  return num(v);
+  return text::format_double(v);
 }
 
 std::string jstr(const std::string& s) {
@@ -254,8 +247,8 @@ ReplayPlan plan_from(const Args& args) {
 void describe_epoch(std::size_t k, const EpochOutcome& ep) {
   std::printf("epoch %zu  boundary %s  precision %s  coverage %zu/%zu  "
               "carried %zu  paired %zu\n",
-              k, num(ep.boundary.sec).c_str(),
-              num(ep.sync.optimal_precision.value()).c_str(),
+              k, text::format_double(ep.boundary.sec).c_str(),
+              text::format_double(ep.sync.optimal_precision.value()).c_str(),
               ep.coverage.observed_directions, ep.coverage.total_directions,
               ep.carried_edges, ep.pairing.paired);
 }
@@ -496,20 +489,22 @@ int cmd_sync(const Args& args) {
 
     std::printf("composed precision %s  (%zu zones, max zone A^max %s, "
                 "quotient A^max %s)\n",
-                num(z.composed_bound.value()).c_str(), z.plan.count,
-                num(z.max_zone_a_max).c_str(),
-                num(z.quotient_a_max.value()).c_str());
+                text::format_double(z.composed_bound.value()).c_str(),
+                z.plan.count, text::format_double(z.max_zone_a_max).c_str(),
+                text::format_double(z.quotient_a_max.value()).c_str());
     for (std::size_t i = 0; i < z.zones.size(); ++i)
       std::printf("zone %zu  leader %u  size %u  A^max %s  thm4.6 gap %s\n",
                   i, static_cast<unsigned>(z.zones[i].leader),
                   static_cast<unsigned>(z.zones[i].size),
-                  num(z.zones[i].bounded
+                  text::format_double(
+                      z.zones[i].bounded
                           ? z.zones[i].a_max
                           : std::numeric_limits<double>::infinity())
                       .c_str(),
-                  num(z.zones[i].thm46_gap).c_str());
+                  text::format_double(z.zones[i].thm46_gap).c_str());
     for (std::size_t p = 0; p < z.corrections.size(); ++p)
-      std::printf("correction %zu %s\n", p, num(z.corrections[p]).c_str());
+      std::printf("correction %zu %s\n", p,
+                  text::format_double(z.corrections[p]).c_str());
     return kExitOk;
   }
 
@@ -530,14 +525,14 @@ int cmd_sync(const Args& args) {
   }
 
   std::printf("precision %s\n",
-              num(outcome.optimal_precision.value()).c_str());
+              text::format_double(outcome.optimal_precision.value()).c_str());
   for (std::size_t p = 0; p < outcome.corrections.size(); ++p)
     std::printf("correction %zu %s\n", p,
-                num(outcome.corrections[p]).c_str());
+                text::format_double(outcome.corrections[p]).c_str());
   if (!outcome.bounded())
     for (std::size_t c = 0; c < outcome.component_precision.size(); ++c)
       std::printf("component %zu precision %s\n", c,
-                  num(outcome.component_precision[c]).c_str());
+                  text::format_double(outcome.component_precision[c]).c_str());
   return kExitOk;
 }
 
@@ -757,28 +752,32 @@ int cmd_live(const Args& args) {
               report.timed_out ? " (deadline hit)" : "");
   if (config.drift.active())
     std::printf("drift budget: rho %s slack %s -> period %s, %zu epochs%s\n",
-                num(config.drift.rho).c_str(),
-                num(config.drift.slack).c_str(),
-                num(report.resync_period.sec).c_str(), report.resync_epochs,
+                text::format_double(config.drift.rho).c_str(),
+                text::format_double(config.drift.slack).c_str(),
+                text::format_double(report.resync_period.sec).c_str(),
+                report.resync_epochs,
                 report.resync_clamped ? " (clamped)" : "");
   for (const LiveEpochReport& ep : report.epochs) {
     if (!ep.claimed_precision.has_value()) {
       std::printf("epoch %zu  boundary %s  NOT COMPUTED (%zu/%zu reports)\n",
-                  ep.epoch, num(ep.boundary.sec).c_str(),
+                  ep.epoch, text::format_double(ep.boundary.sec).c_str(),
                   ep.reports_absorbed, report.agents);
       continue;
     }
     std::printf("epoch %zu  boundary %s  precision %s  realized %s%s",
-                ep.epoch, num(ep.boundary.sec).c_str(),
-                num(*ep.claimed_precision).c_str(),
-                ep.realized_precision ? num(*ep.realized_precision).c_str()
-                                      : "?",
+                ep.epoch, text::format_double(ep.boundary.sec).c_str(),
+                text::format_double(*ep.claimed_precision).c_str(),
+                ep.realized_precision
+                    ? text::format_double(*ep.realized_precision).c_str()
+                    : "?",
                 ep.degraded ? "  DEGRADED" : "");
     if (ep.realized_intra.has_value() && ep.realized_cross.has_value())
-      std::printf("  intra %s  cross %s", num(*ep.realized_intra).c_str(),
-                  num(*ep.realized_cross).c_str());
+      std::printf("  intra %s  cross %s",
+                  text::format_double(*ep.realized_intra).c_str(),
+                  text::format_double(*ep.realized_cross).c_str());
     if (ep.offline_precision.has_value())
-      std::printf("  offline %s  %s", num(*ep.offline_precision).c_str(),
+      std::printf("  offline %s  %s",
+                  text::format_double(*ep.offline_precision).c_str(),
                   ep.matches_offline ? "match" : "MISMATCH");
     std::printf("\n");
   }

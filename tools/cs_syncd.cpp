@@ -27,6 +27,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "common/version.hpp"
 #include "core/zones.hpp"
 #include "delaymodel/constraint.hpp"
@@ -118,12 +119,6 @@ double num_flag(const std::string& name, const std::string& value) {
   return v;
 }
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -208,7 +203,8 @@ int run_multihost(const std::map<std::string, std::string>& flags,
   // value.  The default only works when all daemons launch within the
   // same second — scripts pass --base explicitly.
   config.base = num_flag(
-      "--base", get("--base", fmt(std::floor(realtime_now()) + 2.0)));
+      "--base",
+      get("--base", text::format_double(std::floor(realtime_now()) + 2.0)));
   config.start_offset =
       Duration{num_flag("--start-offset", get("--start-offset", "0"))};
   config.warmup = Duration{num_flag("--warmup", get("--warmup", "0.3"))};
@@ -275,15 +271,15 @@ int run_multihost(const std::map<std::string, std::string>& flags,
     if (report.detected) out += ", \"detected\": true";
     if (report.window_violation) out += ", \"window_violation\": true";
     if (report.converged) {
-      out += ", \"precision\": " + fmt(report.precision);
+      out += ", \"precision\": " + text::format_double(report.precision);
       out += ", \"corrections\": [";
       for (std::size_t p = 0; p < report.corrections.size(); ++p) {
         if (p > 0) out += ", ";
-        out += fmt(report.corrections[p]);
+        text::append_double(out, report.corrections[p]);
       }
       out += "]";
     }
-    if (realized) out += ", \"realized\": " + fmt(*realized);
+    if (realized) out += ", \"realized\": " + text::format_double(*realized);
     out += ", \"probes_sent\": " + std::to_string(report.probes_sent);
     out += ", \"observations\": " +
            std::to_string(report.probe_obs + report.echo_obs);
@@ -297,8 +293,10 @@ int run_multihost(const std::map<std::string, std::string>& flags,
       for (std::size_t j = 0; j < r.dirs.size(); ++j) {
         const net::DirectionExtremes& d = r.dirs[j];
         if (j > 0) out += ", ";
-        out += "[" + std::to_string(d.peer) + ", " + fmt(d.dmin) + ", " +
-               fmt(d.dmax) + ", " + std::to_string(d.count) + "]";
+        out += "[" + std::to_string(d.peer) + ", " +
+               text::format_double(d.dmin) + ", " +
+               text::format_double(d.dmax) + ", " + std::to_string(d.count) +
+               "]";
       }
       out += "]}";
     }
@@ -310,8 +308,11 @@ int run_multihost(const std::map<std::string, std::string>& flags,
     std::printf("cs_syncd: multihost agent %u/%zu (%s)\n", config.id,
                 config.peers.size(), is_leader ? "leader" : "follower");
     if (report.converged) {
-      std::printf("  precision %s%s%s\n", fmt(report.precision).c_str(),
-                  realized ? (" realized " + fmt(*realized)).c_str() : "",
+      std::printf("  precision %s%s%s\n",
+                  text::format_double(report.precision).c_str(),
+                  realized
+                      ? (" realized " + text::format_double(*realized)).c_str()
+                      : "",
                   report.window_violation ? " WINDOW VIOLATION" : "");
     }
     std::printf("  %llu probes, %llu observations, %llu ambiguous dropped\n",
@@ -461,7 +462,8 @@ int main(int argc, char** argv) {
         out += ", \"detected_epochs\": " +
                std::to_string(report.detected_epochs);
       if (config.drift.active()) {
-        out += ", \"resync_period\": " + fmt(report.resync_period.sec);
+        out += ", \"resync_period\": " +
+               text::format_double(report.resync_period.sec);
         out += ", \"resync_epochs\": " + std::to_string(report.resync_epochs);
         out += ", \"resync_clamped\": ";
         out += report.resync_clamped ? "true" : "false";
@@ -475,19 +477,23 @@ int main(int argc, char** argv) {
         out += ep.degraded ? "true" : "false";
         if (ep.detected) out += ", \"detected\": true";
         if (ep.claimed_precision && std::isfinite(*ep.claimed_precision))
-          out += ", \"precision\": " + fmt(*ep.claimed_precision);
+          out += ", \"precision\": " +
+                 text::format_double(*ep.claimed_precision);
         if (ep.drift_bound)
-          out += ", \"drift_bound\": " + fmt(*ep.drift_bound);
+          out += ", \"drift_bound\": " + text::format_double(*ep.drift_bound);
         if (ep.realized_precision)
-          out += ", \"realized\": " + fmt(*ep.realized_precision);
+          out += ", \"realized\": " +
+                 text::format_double(*ep.realized_precision);
         if (ep.realized_intra)
-          out += ", \"realized_intra\": " + fmt(*ep.realized_intra);
+          out += ", \"realized_intra\": " +
+                 text::format_double(*ep.realized_intra);
         if (ep.realized_cross)
-          out += ", \"realized_cross\": " + fmt(*ep.realized_cross);
+          out += ", \"realized_cross\": " +
+                 text::format_double(*ep.realized_cross);
         out += ", \"corrections\": [";
         for (std::size_t p = 0; p < ep.corrections.size(); ++p) {
           if (p > 0) out += ", ";
-          out += fmt(ep.corrections[p]);
+          text::append_double(out, ep.corrections[p]);
         }
         out += "]}";
       }
@@ -507,9 +513,10 @@ int main(int argc, char** argv) {
     if (config.drift.active())
       std::printf("  drift budget: rho %s, slack %s -> period %s, %zu "
                   "epochs%s\n",
-                  fmt(config.drift.rho).c_str(),
-                  fmt(config.drift.slack).c_str(),
-                  fmt(report.resync_period.sec).c_str(), report.resync_epochs,
+                  text::format_double(config.drift.rho).c_str(),
+                  text::format_double(config.drift.slack).c_str(),
+                  text::format_double(report.resync_period.sec).c_str(),
+                  report.resync_epochs,
                   report.resync_clamped ? " (clamped)" : "");
     for (const LiveEpochReport& ep : report.epochs) {
       if (!ep.claimed_precision.has_value()) {
@@ -524,14 +531,16 @@ int main(int argc, char** argv) {
         continue;
       }
       std::string split;
-      if (ep.drift_bound) split += " drift-bound " + fmt(*ep.drift_bound);
+      if (ep.drift_bound)
+        split += " drift-bound " + text::format_double(*ep.drift_bound);
       if (ep.realized_intra && ep.realized_cross)
-        split += " intra " + fmt(*ep.realized_intra) + " cross " +
-                 fmt(*ep.realized_cross);
+        split += " intra " + text::format_double(*ep.realized_intra) +
+                 " cross " + text::format_double(*ep.realized_cross);
       std::printf("  epoch %zu: precision %s realized %s%s%s%s\n", ep.epoch,
-                  fmt(*ep.claimed_precision).c_str(),
-                  ep.realized_precision ? fmt(*ep.realized_precision).c_str()
-                                        : "?",
+                  text::format_double(*ep.claimed_precision).c_str(),
+                  ep.realized_precision
+                      ? text::format_double(*ep.realized_precision).c_str()
+                      : "?",
                   split.c_str(), ep.degraded ? " (degraded)" : "",
                   report.checked
                       ? (ep.matches_offline ? " [offline match]"
