@@ -18,9 +18,9 @@
 // Output: stdout table (one row per (loss, arm) cell, averaged over the
 // seed range) plus BENCH_lab.json in the standard bench-JSON shape.
 
+#include "common/pool.hpp"
 #include "core/epochs.hpp"
 #include "lab/campaign.hpp"
-#include "lab/pool.hpp"
 #include "proto/beacon.hpp"
 #include "sim/fault_plan.hpp"
 #include "support.hpp"
@@ -102,9 +102,9 @@ int run(const std::string& json_path) {
   std::vector<ArmOutcome> results(task_count);
 
   Metrics metrics;
-  lab::PoolOptions pool;
+  PoolOptions pool;
   pool.metrics = &metrics;
-  lab::run_indexed(
+  run_indexed(
       task_count,
       [&](std::size_t i) {
         const std::size_t cell = i / kSeedsPerCell;

@@ -9,10 +9,10 @@
 // plus a warm-started Howard.  Both arms run the one SHIFTS path (Howard +
 // Dijkstra corrections); they differ in the closure and the warm start.
 //
-// The scenario grid is a superset of bench_e11_pipeline's (same names,
-// same seeds, same perturbation streams), so BENCH_csr.json is directly
-// comparable against BENCH_pipeline.json arm for arm.  Output path:
-// argv[1], default ./BENCH_csr.json.
+// The scenario grid is a superset of the retired E11 pipeline bench's (same
+// names, same seeds, same perturbation streams), so BENCH_csr.json is
+// directly comparable arm for arm against BENCH_pipeline.json, the frozen
+// pre-CSR record E11 wrote.  Output path: argv[1], default ./BENCH_csr.json.
 
 #include <chrono>
 #include <fstream>
@@ -34,7 +34,7 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Sparse m̃ls-shaped graph: bidirectional ring plus random chords, small
-/// positive weights — the same generator (and seeds) as bench_e11_pipeline.
+/// positive weights — the same generator (and seeds) the retired E11 used.
 struct MlsInstance {
   std::size_t n{0};
   std::vector<Edge> edges;

@@ -18,6 +18,7 @@
 
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
+#include "oracles/cycle_mean.hpp"
 #include "support.hpp"
 
 namespace {

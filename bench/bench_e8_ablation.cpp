@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "oracles/cycle_mean.hpp"
 #include "support.hpp"
 
 namespace {

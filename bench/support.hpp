@@ -26,7 +26,6 @@
 #include "core/precision.hpp"
 #include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
-#include "graph/cycle_mean.hpp"
 #include "graph/johnson.hpp"
 #include "proto/ping_pong.hpp"
 #include "sim/simulator.hpp"

@@ -1,8 +1,8 @@
 // EpochArena: reusable bump allocation for per-epoch scratch.
 //
 // The epoch pipeline re-runs the same shaped computations every boundary —
-// Johnson potentials, per-source distance arrays, Karp walk tables, Howard
-// policy/value vectors.  Allocating those from the heap each epoch costs
+// Johnson potentials, reweighted CSR arrays, per-source distance arrays,
+// Howard policy/value vectors.  Allocating those from the heap each epoch costs
 // more than some of the arithmetic they hold; the arena instead carves them
 // out of a few large chunks with a pointer bump and recycles the chunks
 // wholesale on reset().

@@ -2,83 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-
-#include "graph/arena.hpp"
 
 namespace cs {
-
-CsrGraph::CsrGraph(const Digraph& g) : n_(g.node_count()) {
-  const std::size_t m = g.edge_count();
-  const auto edges = g.edges();
-
-  // Stable counting sort by source: per-row arcs stay in insertion (edge
-  // id) order, matching the Digraph adjacency lists arc for arc.
-  row_ptr_.assign(n_ + 1, 0);
-  for (const Edge& e : edges) ++row_ptr_[e.from + 1];
-  for (std::size_t v = 0; v < n_; ++v) row_ptr_[v + 1] += row_ptr_[v];
-  head_.resize(m);
-  weight_.resize(m);
-  eid_.resize(m);
-  {
-    std::vector<std::uint32_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
-    for (EdgeId id = 0; id < m; ++id) {
-      const Edge& e = edges[id];
-      const std::uint32_t at = cursor[e.from]++;
-      head_[at] = e.to;
-      weight_[at] = e.weight;
-      eid_[at] = id;
-    }
-  }
-
-  // Transpose, same construction keyed by target.
-  in_ptr_.assign(n_ + 1, 0);
-  for (const Edge& e : edges) ++in_ptr_[e.to + 1];
-  for (std::size_t v = 0; v < n_; ++v) in_ptr_[v + 1] += in_ptr_[v];
-  in_src_.resize(m);
-  in_weight_.resize(m);
-  {
-    std::vector<std::uint32_t> cursor(in_ptr_.begin(), in_ptr_.end() - 1);
-    for (EdgeId id = 0; id < m; ++id) {
-      const Edge& e = edges[id];
-      const std::uint32_t at = cursor[e.to]++;
-      in_src_[at] = e.from;
-      in_weight_[at] = e.weight;
-    }
-  }
-}
-
-std::optional<std::vector<double>> bellman_ford_csr(const CsrView& g,
-                                                    NodeId source,
-                                                    double epsilon) {
-  const std::size_t n = g.node_count();
-  assert(source < n);
-  assert(epsilon >= 0.0);
-  std::vector<double> dist(n, kInfDist);
-  dist[source] = 0.0;
-
-  const auto sweep = [&]() {
-    bool changed = false;
-    for (std::size_t v = 0; v < n; ++v) {
-      const double dv = dist[v];
-      if (dv == kInfDist) continue;
-      for (std::uint32_t a = g.row_ptr[v]; a < g.row_ptr[v + 1]; ++a) {
-        const double cand = dv + g.weight[a];
-        if (cand < dist[g.head[a]] - epsilon) {
-          dist[g.head[a]] = cand;
-          changed = true;
-        }
-      }
-    }
-    return changed;
-  };
-
-  bool changed = true;
-  for (std::size_t round = 0; round + 1 < n && changed; ++round)
-    changed = sweep();
-  if (changed && sweep()) return std::nullopt;
-  return dist;
-}
 
 void dijkstra_csr(const CsrView& g, NodeId source, std::span<double> dist,
                   std::vector<std::pair<double, NodeId>>& heap) {
@@ -109,142 +34,6 @@ void dijkstra_csr(const CsrView& g, NodeId source, std::span<double> dist,
       }
     }
   }
-}
-
-SccResult strongly_connected_components_csr(const CsrView& g) {
-  const std::size_t n = g.node_count();
-  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
-
-  SccResult res;
-  res.component.assign(n, kUnset);
-
-  std::vector<std::size_t> index(n, kUnset);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<NodeId> stack;
-  std::size_t next_index = 0;
-
-  struct Frame {
-    NodeId v;
-    std::uint32_t arc;  // absolute position in head[]
-  };
-  std::vector<Frame> dfs;
-
-  for (NodeId root = 0; root < n; ++root) {
-    if (index[root] != kUnset) continue;
-    dfs.push_back({root, g.row_ptr[root]});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-
-    while (!dfs.empty()) {
-      Frame& f = dfs.back();
-      if (f.arc < g.row_ptr[f.v + 1]) {
-        const NodeId w = g.head[f.arc++];
-        if (index[w] == kUnset) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          dfs.push_back({w, g.row_ptr[w]});
-        } else if (on_stack[w]) {
-          lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-        }
-      } else {
-        const NodeId v = f.v;
-        dfs.pop_back();
-        if (!dfs.empty())
-          lowlink[dfs.back().v] = std::min(lowlink[dfs.back().v], lowlink[v]);
-        if (lowlink[v] == index[v]) {
-          const std::size_t id = res.component_count++;
-          NodeId w;
-          do {
-            w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            res.component[w] = id;
-          } while (w != v);
-        }
-      }
-    }
-  }
-  return res;
-}
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Karp's DP on one SCC, local indices; mirrors karp_min_on_scc() in
-/// cycle_mean.cpp (the min-fold makes arc order irrelevant).
-std::optional<double> karp_on_component(
-    const CsrView& g, const std::vector<NodeId>& members,
-    const std::vector<std::size_t>& comp, std::size_t comp_id,
-    std::vector<std::size_t>& local, EpochArena* arena) {
-  const std::size_t n = members.size();
-  for (std::size_t i = 0; i < n; ++i) local[members[i]] = i;
-
-  bool has_internal_arc = false;
-  for (NodeId u : members)
-    for (std::uint32_t a = g.row_ptr[u]; a < g.row_ptr[u + 1]; ++a)
-      if (comp[g.head[a]] == comp_id) {
-        has_internal_arc = true;
-        break;
-      }
-  if (!has_internal_arc) return std::nullopt;  // singleton w/o self-loop
-
-  // d[k*n + v] = min weight of a k-arc walk from local node 0 to v.
-  EpochArena fallback;
-  EpochArena& mem = arena != nullptr ? *arena : fallback;
-  std::span<double> d = mem.alloc_fill<double>((n + 1) * n, kInf);
-  d[0] = 0.0;  // d[0][local 0]
-  for (std::size_t k = 1; k <= n; ++k) {
-    const std::span<double> prev = d.subspan((k - 1) * n, n);
-    const std::span<double> cur = d.subspan(k * n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double base = prev[i];
-      if (base == kInf) continue;
-      const NodeId u = members[i];
-      for (std::uint32_t a = g.row_ptr[u]; a < g.row_ptr[u + 1]; ++a) {
-        const NodeId to = g.head[a];
-        if (comp[to] != comp_id) continue;
-        const double cand = base + g.weight[a];
-        double& slot = cur[local[to]];
-        if (cand < slot) slot = cand;
-      }
-    }
-  }
-
-  double best = kInf;
-  const std::span<double> last = d.subspan(n * n, n);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (last[v] == kInf) continue;
-    double worst = -kInf;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double dk = d[k * n + v];
-      if (dk == kInf) continue;
-      worst = std::max(worst, (last[v] - dk) / static_cast<double>(n - k));
-    }
-    if (worst != -kInf) best = std::min(best, worst);
-  }
-  if (best == kInf) return std::nullopt;
-  return best;
-}
-
-}  // namespace
-
-std::optional<double> min_cycle_mean_karp_csr(const CsrView& g,
-                                              EpochArena* arena) {
-  const SccResult scc = strongly_connected_components_csr(g);
-  const auto groups = scc.members();
-  std::vector<std::size_t> local(g.node_count(),
-                                 std::numeric_limits<std::size_t>::max());
-  std::optional<double> best;
-  for (std::size_t c = 0; c < groups.size(); ++c) {
-    const auto r =
-        karp_on_component(g, groups[c], scc.component, c, local, arena);
-    if (r && (!best || *r < *best)) best = r;
-  }
-  return best;
 }
 
 }  // namespace cs

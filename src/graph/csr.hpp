@@ -1,30 +1,22 @@
-// Compressed-sparse-row graph core.
+// Compressed-sparse-row adjacency for the closure kernels.
 //
-// CsrGraph is the flat, structure-of-arrays snapshot of a Digraph: arcs
-// grouped by source node into three parallel arrays (head, weight, original
-// edge id), indexed by a row-pointer array.  Within a row, arcs keep the
-// Digraph's insertion order, so every order-sensitive traversal (Tarjan's
-// DFS, Howard's tie-breaks) sees exactly the adjacency sequence the
-// pointer-based representation exposed — the algorithm ports below are
-// bit-identical to their Digraph counterparts, which the property test
-// tests/graph/csr_test.cpp enforces on golden models and random instances.
-//
-// The transpose (in-arcs grouped by target) is materialized once at build,
-// so transpose() is an O(1) view — single-sink problems run on the same
-// snapshot without re-reversing the graph.
+// johnson_into (graph/johnson.hpp) and IncrementalApsp
+// (graph/incremental_apsp.hpp) build their reweighted adjacency as flat
+// arrays carved from an EpochArena — arcs grouped by source, indexed by a
+// row-pointer array — and run Dijkstra over a non-owning view of them.
+// dijkstra_csr equals dijkstra() (graph/dijkstra.hpp) exactly, which the
+// property test tests/graph/csr_test.cpp enforces on golden models and
+// random instances.
 #pragma once
 
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bellman_ford.hpp"
 #include "graph/digraph.hpp"
-#include "graph/scc.hpp"
 
 namespace cs {
-
-class EpochArena;
 
 /// Non-owning flat adjacency: row_ptr has n+1 entries; arc k of node v is
 /// head[row_ptr[v] + k] with weight weight[row_ptr[v] + k].
@@ -37,49 +29,7 @@ struct CsrView {
     return row_ptr.empty() ? 0 : row_ptr.size() - 1;
   }
   std::size_t arc_count() const { return head.size(); }
-  std::span<const NodeId> heads(NodeId v) const {
-    return head.subspan(row_ptr[v], row_ptr[v + 1] - row_ptr[v]);
-  }
 };
-
-class CsrGraph {
- public:
-  CsrGraph() = default;
-  /// Snapshot of `g`: stable grouping by source (insertion order within
-  /// each row) plus the materialized transpose.
-  explicit CsrGraph(const Digraph& g);
-
-  std::size_t node_count() const { return n_; }
-  std::size_t arc_count() const { return head_.size(); }
-
-  CsrView view() const { return {row_ptr_, head_, weight_}; }
-  /// O(1): arcs grouped by target; weights match the forward arcs.
-  CsrView transpose() const { return {in_ptr_, in_src_, in_weight_}; }
-
-  /// Original Digraph edge id of forward arc `a` (position in view()).
-  EdgeId edge_id(std::size_t a) const { return eid_[a]; }
-
- private:
-  std::size_t n_{0};
-  std::vector<std::uint32_t> row_ptr_;  // n+1
-  std::vector<NodeId> head_;            // m, insertion order per row
-  std::vector<double> weight_;          // m
-  std::vector<EdgeId> eid_;             // m, original edge ids
-
-  std::vector<std::uint32_t> in_ptr_;   // n+1
-  std::vector<NodeId> in_src_;          // m, by target, edge-id order per row
-  std::vector<double> in_weight_;       // m
-};
-
-/// Bellman–Ford distances on the CSR view (single source, epsilon-tolerant
-/// relaxation as in bellman_ford()).  Distances equal the Digraph variant's
-/// exactly: with epsilon == 0 both converge to the same min-over-path-sums
-/// fixpoint regardless of relaxation order.  Returns std::nullopt on a
-/// negative cycle.  Predecessors are not produced — the sweep order differs
-/// from edge-id order, so only distances are order-invariant.
-std::optional<std::vector<double>> bellman_ford_csr(const CsrView& g,
-                                                    NodeId source,
-                                                    double epsilon = 0.0);
 
 /// Dijkstra distances (non-negative weights) into `dist` (size n, filled
 /// with kInfDist/0).  `heap` is reusable scratch.  Exactly equal to
@@ -87,16 +37,5 @@ std::optional<std::vector<double>> bellman_ford_csr(const CsrView& g,
 /// its candidate predecessor sums, independent of tie order.
 void dijkstra_csr(const CsrView& g, NodeId source, std::span<double> dist,
                   std::vector<std::pair<double, NodeId>>& heap);
-
-/// Tarjan SCC on the CSR view — identical component ids to
-/// strongly_connected_components(): the DFS consumes each row in the same
-/// order the Digraph adjacency lists held.
-SccResult strongly_connected_components_csr(const CsrView& g);
-
-/// Karp minimum cycle mean over all SCCs (exact equal to
-/// min_cycle_mean_karp(): the walk table is a pure min-fold, so arc order
-/// is irrelevant).  `arena`, when given, holds the O(n^2) walk table.
-std::optional<double> min_cycle_mean_karp_csr(const CsrView& g,
-                                              EpochArena* arena = nullptr);
 
 }  // namespace cs

@@ -6,6 +6,7 @@
 
 #include "byz/harness.hpp"
 #include "common/error.hpp"
+#include "common/pool.hpp"
 #include "core/precision.hpp"
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"

@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "lab/pool.hpp"
 #include "lab/spec.hpp"
 
 namespace cs::lab {

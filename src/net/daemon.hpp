@@ -28,8 +28,8 @@
 //
 // The control plane (reports, corrections, acks) rides the same socket as
 // the probe plane but is out of band with respect to the analyzed instance:
-// only probe/echo traffic is banked, mirroring how the trace tooling keeps
-// coordinator traffic out of views.
+// only probe/echo traffic is banked, mirroring how run_live keeps the
+// SyncAgent report and correction traffic out of the host views.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,7 @@
 // Each processor originates one token that is flooded hop-by-hop with a TTL;
 // intermediate processors forward a token the first time they see it.  This
 // produces multi-hop, cross-network traffic whose per-link message counts
-// are irregular — a stress shape for the estimators, and the transport the
-// coordinator protocol reuses for dissemination.
+// are irregular — a stress shape for the estimators.
 #pragma once
 
 #include "sim/simulator.hpp"

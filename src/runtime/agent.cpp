@@ -387,6 +387,8 @@ AutomatonFactory make_sync_agents(const SystemModel* model,
     throw Error("make_sync_agents: leader id out of range");
   if (params.spacing <= Duration{0.0} || params.period <= Duration{0.0})
     throw Error("make_sync_agents: spacing and period must be positive");
+  if (params.grace < Duration{0.0})
+    throw Error("make_sync_agents: grace must be non-negative");
   if (params.report_at.sec <=
       params.warmup.sec +
           static_cast<double>(params.rounds) * params.spacing.sec)

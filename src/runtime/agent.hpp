@@ -59,6 +59,7 @@ struct SyncAgentParams {
   /// Leader watchdog: at T_k + grace a still-incomplete epoch is computed
   /// from the reports that made it (degraded).  Zero disables — the leader
   /// then waits indefinitely, and only the host deadline bounds the run.
+  /// Negative is refused.
   Duration grace{0.0};
   ProcessorId leader{0};
   /// Pipeline options for the leader's compute (root is forced to
@@ -122,7 +123,8 @@ class LiveResults {
 std::vector<ClockTime> sync_agent_boundaries(const SyncAgentParams& params);
 
 /// `model` and `results` must outlive the run.  Validates the schedule
-/// (probe phase before T_1, probes of each epoch before its boundary).
+/// (probe phase before T_1, probes of each epoch before its boundary,
+/// grace >= 0).
 AutomatonFactory make_sync_agents(const SystemModel* model,
                                   SyncAgentParams params,
                                   LiveResults* results);

@@ -13,9 +13,9 @@
 #include "core/epochs.hpp"
 #include "core/incremental.hpp"
 #include "core/shifts.hpp"
-#include "graph/cycle_mean.hpp"
 #include "graph/incremental_apsp.hpp"
 #include "graph/johnson.hpp"
+#include "oracles/cycle_mean.hpp"
 #include "support/builders.hpp"
 
 namespace cs {

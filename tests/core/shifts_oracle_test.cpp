@@ -25,9 +25,9 @@
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"
 #include "graph/bellman_ford.hpp"
-#include "graph/cycle_mean.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/topology.hpp"
+#include "oracles/cycle_mean.hpp"
 #include "support/builders.hpp"
 
 namespace cs {

@@ -1,23 +1,19 @@
-// CSR core vs pointer-based Digraph: the algorithm ports must agree
-// EXACTLY — not to tolerance — on Bellman–Ford distances, Karp cycle
-// means, SCC partitions, Dijkstra distances and Johnson closures, for
-// every golden model topology and a sweep of random ER/BA instances.
-// Exact equality is what lets the CSR hot path replace the Digraph path
-// underneath the golden-trace replay tests without re-pinning them.
+// CSR closure kernels vs pointer-based Digraph: dijkstra_csr must agree
+// EXACTLY — not to tolerance — with dijkstra(), and johnson_into on a
+// reused arena with johnson(), for every golden model topology and a sweep
+// of random ER/BA instances.  Exact equality is what lets the CSR hot path
+// run underneath the golden-trace replay tests without re-pinning them.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "graph/arena.hpp"
 #include "graph/csr.hpp"
-#include "graph/cycle_mean.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/johnson.hpp"
 #include "io/views_io.hpp"
@@ -85,58 +81,56 @@ Digraph random_ba(Rng& rng, std::size_t n, bool mixed_sign) {
   return g;
 }
 
-/// All the exact-agreement checks for one graph with possibly-negative
-/// weights (Bellman–Ford, Karp, SCC, Johnson).
-void expect_csr_matches_digraph(const Digraph& g, const std::string& what) {
-  const CsrGraph csr(g);
-  const CsrView view = csr.view();
-  ASSERT_EQ(view.node_count(), g.node_count()) << what;
-  ASSERT_EQ(view.arc_count(), g.edge_count()) << what;
+/// The flat arrays behind a CsrView of `g`: arcs grouped by source, in
+/// edge-id order within each row.
+struct CsrArrays {
+  std::vector<std::uint32_t> row_ptr;
+  std::vector<NodeId> head;
+  std::vector<double> weight;
 
-  // SCC partition: identical component ids, not merely the same partition.
-  const SccResult a = strongly_connected_components(g);
-  const SccResult b = strongly_connected_components_csr(view);
-  EXPECT_EQ(a.component_count, b.component_count) << what;
-  EXPECT_EQ(a.component, b.component) << what;
-
-  // Karp min cycle mean, with and without a caller arena.
-  const std::optional<double> karp_ref = min_cycle_mean_karp(g);
-  EpochArena arena;
-  const std::optional<double> karp_csr =
-      min_cycle_mean_karp_csr(view, &arena);
-  ASSERT_EQ(karp_ref.has_value(), karp_csr.has_value()) << what;
-  if (karp_ref) EXPECT_EQ(*karp_ref, *karp_csr) << what;
-  EXPECT_EQ(min_cycle_mean_karp_csr(view), karp_csr) << what;
-
-  // Bellman–Ford distances from every source (negative-cycle verdicts must
-  // agree too).
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto ref = bellman_ford(g, s);
-    const auto got = bellman_ford_csr(view, s);
-    ASSERT_EQ(ref.has_value(), got.has_value()) << what << " source " << s;
-    if (ref) EXPECT_EQ(ref->dist, *got) << what << " source " << s;
+  explicit CsrArrays(const Digraph& g)
+      : row_ptr(g.node_count() + 1, 0),
+        head(g.edge_count()),
+        weight(g.edge_count()) {
+    for (const Edge& e : g.edges()) ++row_ptr[e.from + 1];
+    for (std::size_t v = 0; v < g.node_count(); ++v)
+      row_ptr[v + 1] += row_ptr[v];
+    std::vector<std::uint32_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+    for (const Edge& e : g.edges()) {
+      const std::uint32_t at = cursor[e.from]++;
+      head[at] = e.to;
+      weight[at] = e.weight;
+    }
   }
 
-  // Johnson closure: the arena variant must reproduce johnson() exactly.
-  const auto ref_m = johnson(g);
-  DistanceMatrix got_m;
+  CsrView view() const { return {row_ptr, head, weight}; }
+};
+
+/// Johnson closure for one graph with possibly-negative weights: the arena
+/// variant must reproduce johnson() exactly, negative-cycle verdict
+/// included, on an arena that already served another graph.
+void expect_johnson_matches(const Digraph& g, EpochArena& arena,
+                            const std::string& what) {
+  const auto ref = johnson(g);
+  DistanceMatrix got;
   arena.reset();
-  const bool ok = johnson_into(g, got_m, arena);
-  ASSERT_EQ(ref_m.has_value(), ok) << what;
-  if (ref_m) {
-    const std::size_t n = g.node_count();
-    ASSERT_EQ(got_m.size(), n) << what;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(ref_m->at(i, j), got_m.at(i, j))
-            << what << " (" << i << "," << j << ")";
-  }
+  const bool ok = johnson_into(g, got, arena);
+  ASSERT_EQ(ref.has_value(), ok) << what;
+  if (!ref) return;
+  const std::size_t n = g.node_count();
+  ASSERT_EQ(got.size(), n) << what;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(ref->at(i, j), got.at(i, j))
+          << what << " (" << i << "," << j << ")";
 }
 
 /// Dijkstra agreement for one non-negative graph.
 void expect_dijkstra_matches(const Digraph& g, const std::string& what) {
-  const CsrGraph csr(g);
+  const CsrArrays csr(g);
   const CsrView view = csr.view();
+  ASSERT_EQ(view.node_count(), g.node_count()) << what;
+  ASSERT_EQ(view.arc_count(), g.edge_count()) << what;
   const std::size_t n = g.node_count();
   std::vector<double> dist(n);
   std::vector<std::pair<double, NodeId>> heap;
@@ -147,81 +141,69 @@ void expect_dijkstra_matches(const Digraph& g, const std::string& what) {
   }
 }
 
-/// (from, to, weight) multiset equality between the forward and transpose
-/// views — the transpose must be a pure re-grouping of the same arcs.
-void expect_transpose_consistent(const Digraph& g, const std::string& what) {
-  const CsrGraph csr(g);
-  using Arc = std::tuple<NodeId, NodeId, double>;
-  std::vector<Arc> fwd, rev;
-  const CsrView f = csr.view();
-  const CsrView t = csr.transpose();
-  ASSERT_EQ(f.arc_count(), t.arc_count()) << what;
-  for (NodeId v = 0; v < f.node_count(); ++v)
-    for (std::uint32_t a = f.row_ptr[v]; a < f.row_ptr[v + 1]; ++a)
-      fwd.emplace_back(v, f.head[a], f.weight[a]);
-  for (NodeId v = 0; v < t.node_count(); ++v)
-    for (std::uint32_t a = t.row_ptr[v]; a < t.row_ptr[v + 1]; ++a)
-      rev.emplace_back(t.head[a], v, t.weight[a]);  // head is the SOURCE here
-  std::sort(fwd.begin(), fwd.end());
-  std::sort(rev.begin(), rev.end());
-  EXPECT_EQ(fwd, rev) << what;
-}
-
 TEST(CsrEquivalence, GoldenModelTopologies) {
   Rng rng(20260808);
+  EpochArena arena;
   for (const char* name : kGoldenModels) {
     const SystemModel model = load_golden(name);
-    expect_csr_matches_digraph(
-        weighted_from_topology(model.topology(), rng, true), name);
+    expect_johnson_matches(
+        weighted_from_topology(model.topology(), rng, true), arena, name);
     expect_dijkstra_matches(
         weighted_from_topology(model.topology(), rng, false), name);
-    expect_transpose_consistent(
-        weighted_from_topology(model.topology(), rng, true), name);
   }
 }
 
 TEST(CsrEquivalence, RandomErdosRenyiInstances) {
   Rng rng(7);
+  EpochArena arena;
   for (int t = 0; t < 50; ++t) {
     const std::size_t n = 3 + rng.uniform_int(22);
     const double p = 0.08 + 0.4 * rng.uniform01();
     const std::string what = "er#" + std::to_string(t);
-    expect_csr_matches_digraph(random_er(rng, n, p, true), what);
+    expect_johnson_matches(random_er(rng, n, p, true), arena, what);
     expect_dijkstra_matches(random_er(rng, n, p, false), what);
   }
 }
 
 TEST(CsrEquivalence, RandomPreferentialAttachmentInstances) {
   Rng rng(11);
+  EpochArena arena;
   for (int t = 0; t < 50; ++t) {
     const std::size_t n = 3 + rng.uniform_int(30);
     const std::string what = "ba#" + std::to_string(t);
-    expect_csr_matches_digraph(random_ba(rng, n, true), what);
+    expect_johnson_matches(random_ba(rng, n, true), arena, what);
     expect_dijkstra_matches(random_ba(rng, n, false), what);
-    expect_transpose_consistent(random_ba(rng, n, true), what);
   }
 }
 
 TEST(CsrEquivalence, EmptyAndSingletonGraphs) {
-  expect_csr_matches_digraph(Digraph(0), "empty");
-  expect_csr_matches_digraph(Digraph(1), "singleton");
+  EpochArena arena;
+  for (const std::size_t n : {0u, 1u}) {
+    const std::string what = "nodes " + std::to_string(n);
+    expect_johnson_matches(Digraph(n), arena, what);
+    expect_dijkstra_matches(Digraph(n), what);
+  }
   Digraph self_loop(1);
   self_loop.add_edge(0, 0, -0.5);
-  expect_csr_matches_digraph(self_loop, "self-loop");
+  expect_johnson_matches(self_loop, arena, "negative self-loop");
 }
 
 TEST(EpochArenaTest, ResetRetainsCapacityAcrossEpochs) {
   Rng rng(3);
-  const Digraph g = random_er(rng, 24, 0.3, true);
-  const CsrGraph csr(g);
+  const Digraph g = random_er(rng, 24, 0.3, false);
   EpochArena arena;
 
-  const auto first = min_cycle_mean_karp_csr(csr.view(), &arena);
+  DistanceMatrix first;
+  ASSERT_TRUE(johnson_into(g, first, arena));
   const std::size_t reserved = arena.bytes_reserved();
   EXPECT_GT(reserved, 0u);
   for (int epoch = 0; epoch < 10; ++epoch) {
     arena.reset();
-    EXPECT_EQ(min_cycle_mean_karp_csr(csr.view(), &arena), first);
+    DistanceMatrix again;
+    ASSERT_TRUE(johnson_into(g, again, arena));
+    for (std::size_t i = 0; i < g.node_count(); ++i)
+      for (std::size_t j = 0; j < g.node_count(); ++j)
+        EXPECT_EQ(again.at(i, j), first.at(i, j));
     // Same allocation pattern after reset() => no new chunks, ever.
     EXPECT_EQ(arena.bytes_reserved(), reserved);
   }

@@ -1,4 +1,4 @@
-#include "graph/cycle_mean.hpp"
+#include "oracles/cycle_mean.hpp"
 
 #include <gtest/gtest.h>
 

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "lab/pool.hpp"
+#include "common/pool.hpp"
 
-namespace cs::lab {
+namespace cs {
 namespace {
 
 TEST(Pool, ResolveThreadsNeverZero) {
@@ -97,4 +97,4 @@ TEST(Pool, UnbalancedLoadStillCompletes) {
 }
 
 }  // namespace
-}  // namespace cs::lab
+}  // namespace cs

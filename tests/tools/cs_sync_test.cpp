@@ -208,5 +208,46 @@ TEST(CsSyncCli, LiveRejectsBadTransport) {
   EXPECT_EQ(run("live --transport carrier-pigeon").exit_code, 2);
 }
 
+TEST(CsSyncCli, LiveRejectsNegativeGrace) {
+  // A negative grace would silently disable the leader watchdog.
+  const RunResult r = run("live --n 4 --epochs 1 --grace -1");
+  EXPECT_EQ(r.exit_code, 3) << r.output;
+  EXPECT_NE(r.output.find("grace must be non-negative"), std::string::npos)
+      << r.output;
+}
+
+TEST(CsSyncCli, SubcommandsRefuseFlagsTheyIgnore) {
+  // Every flag a subcommand accepts is one its code reads: a flag another
+  // subcommand reads is refused before any work, naming flag and command.
+  const std::string trace = golden("golden_clean.trace");
+  const std::string out = ::testing::TempDir() + "/cs_sync_refused.trace";
+  struct Case {
+    std::string sub, args, flag;
+  };
+  const Case cases[] = {
+      // replay, diff and metrics rerun the trace's recorded plan.
+      {"replay", trace + " --apsp floyd-warshall", "--apsp"},
+      {"replay", trace + " --root 3", "--root"},
+      {"replay", trace + " --match drop-orphans", "--match"},
+      {"metrics", trace + " --rebuild", "--rebuild"},
+      {"metrics", trace + " --topology star", "--topology"},
+      {"metrics", trace + " --n 99", "--n"},
+      {"diff", trace + " " + trace + " --grace 5", "--grace"},
+      {"diff", trace + " " + trace + " --leader 9", "--leader"},
+      // live's leader always roots at --leader and drops orphans.
+      {"live", "--n 4 --epochs 1 --root 2", "--root"},
+      {"live", "--n 4 --epochs 1 --match strict", "--match"},
+      {"sync", "a.views b.model --seed 3", "--seed"},
+      {"simulate", out + " --rerecord " + out, "--rerecord"},
+  };
+  for (const Case& c : cases) {
+    const RunResult r = run(c.sub + " " + c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.sub << " " << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find("'" + c.flag + "'"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("for " + c.sub), std::string::npos) << r.output;
+  }
+}
+
 }  // namespace
 }  // namespace cs

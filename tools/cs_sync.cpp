@@ -64,24 +64,31 @@ struct UsageError {
 // ---------------------------------------------------------------------------
 // Flag parsing
 
+/// The flags one subcommand's code reads.
+struct FlagSet {
+  std::set<std::string> valued;
+  std::set<std::string> switches;
+};
+
 /// Hand-rolled `--flag value` / `--switch` parser.  Flags may appear in any
-/// order, interleaved with positionals; unknown flags are usage errors.
+/// order, interleaved with positionals; a flag outside the subcommand's
+/// set is a usage error naming both, so no flag is silently ignored.
 class Args {
  public:
-  Args(int argc, char** argv, std::set<std::string> valued,
-       std::set<std::string> switches)
-      : valued_(std::move(valued)), switches_(std::move(switches)) {
+  Args(const std::string& command, int argc, char** argv,
+       const FlagSet& flags) {
     for (int i = 0; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0) {
         positional_.push_back(arg);
         continue;
       }
-      if (switches_.count(arg) != 0) {
+      if (flags.switches.count(arg) != 0) {
         set_switches_.insert(arg);
         continue;
       }
-      if (valued_.count(arg) == 0) usage_fail("unknown flag '" + arg + "'");
+      if (flags.valued.count(arg) == 0)
+        usage_fail("unknown flag '" + arg + "' for " + command);
       if (i + 1 >= argc) usage_fail("flag '" + arg + "' needs a value");
       values_[arg] = argv[++i];
     }
@@ -104,7 +111,7 @@ class Args {
   }
 
  private:
-  std::set<std::string> valued_, switches_, set_switches_;
+  std::set<std::string> set_switches_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
@@ -806,7 +813,9 @@ subcommands:
   version                  print the release banner (also --version)
 
 common flags:
-  --json                   machine-readable output
+  --json                   machine-readable output (every subcommand)
+
+pipeline flags (simulate, sync; live takes --apsp only):
   --root N --apsp johnson|floyd-warshall --match strict|drop-orphans
 
 simulate flags:
@@ -824,7 +833,7 @@ simulate flags:
   --window S --carry --widen S --max-age N --rebuild
   --views FILE             also dump the views interchange file
 
-replay flags:
+replay flags (replay, diff and metrics rerun the trace's recorded plan):
   --rerecord FILE          write the trace with replayed outcomes
 
 diff flags:
@@ -843,6 +852,7 @@ live flags:
                            band-R clocks drift at most S between re-syncs
   --no-check               skip the offline cross-check
 
+a flag its subcommand does not read is a usage error
 exit codes: 0 ok, 1 divergence found, 2 usage error, 3 runtime error
 any '<subcommand> --help' prints this reference and exits 0
 )");
@@ -870,29 +880,42 @@ int main(int argc, char** argv) {
     }
   }
   try {
-    const std::set<std::string> valued{
-        "--root",     "--apsp",      "--match",      "--topology",
-        "--n",        "--lower",     "--upper",      "--model",
-        "--proto",    "--rounds",    "--spacing",    "--warmup",
-        "--period",   "--count",     "--seed",       "--skew",
-        "--delay-scale", "--drop",   "--dup",        "--spike",
-        "--spike-mag", "--fault-seed", "--down",     "--crash",
-        "--boundaries", "--window",  "--widen",      "--max-age",
-        "--views",    "--rerecord",  "--max-reports", "--transport",
-        "--report-at", "--epochs",   "--grace",      "--leader",
-        "--deadline", "--trace",     "--zones",      "--drift",
-        "--drift-ppm", "--drift-slack"};
-    const std::set<std::string> switches{"--json", "--carry", "--rebuild",
-                                         "--no-check"};
-    const Args args(argc - 2, argv + 2, valued, switches);
-
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "sync") return cmd_sync(args);
-    if (command == "replay") return cmd_replay(args);
-    if (command == "diff") return cmd_diff(args);
-    if (command == "metrics") return cmd_metrics(args);
-    if (command == "live") return cmd_live(args);
-    usage_fail("unknown subcommand '" + command + "'");
+    // Each subcommand accepts exactly the flags its code reads.  replay,
+    // diff and metrics rerun a trace's recorded plan, so they take none of
+    // the pipeline flags; live's leader always roots at --leader and drops
+    // orphans, so it takes --apsp but not --root or --match.
+    struct Subcommand {
+      int (*run)(const Args&);
+      FlagSet flags;
+    };
+    const std::map<std::string, Subcommand> subcommands{
+        {"simulate",
+         {cmd_simulate,
+          {{"--root", "--apsp", "--match", "--topology", "--n", "--lower",
+            "--upper", "--model", "--proto", "--rounds", "--spacing",
+            "--warmup", "--period", "--count", "--seed", "--skew",
+            "--delay-scale", "--drift", "--drop", "--dup", "--spike",
+            "--spike-mag", "--fault-seed", "--down", "--crash",
+            "--boundaries", "--window", "--widen", "--max-age", "--views"},
+           {"--json", "--carry", "--rebuild"}}}},
+        {"sync",
+         {cmd_sync, {{"--root", "--apsp", "--match", "--zones"}, {"--json"}}}},
+        {"replay", {cmd_replay, {{"--rerecord"}, {"--json"}}}},
+        {"diff", {cmd_diff, {{"--max-reports"}, {"--json"}}}},
+        {"metrics", {cmd_metrics, {{}, {"--json"}}}},
+        {"live",
+         {cmd_live,
+          {{"--apsp", "--topology", "--n", "--lower", "--upper", "--model",
+            "--seed", "--skew", "--transport", "--delay-scale", "--drop",
+            "--trace", "--deadline", "--warmup", "--spacing", "--rounds",
+            "--report-at", "--period", "--epochs", "--grace", "--leader",
+            "--drift-ppm", "--drift-slack", "--zones"},
+           {"--json", "--no-check"}}}},
+    };
+    const auto it = subcommands.find(command);
+    if (it == subcommands.end())
+      usage_fail("unknown subcommand '" + command + "'");
+    return it->second.run(Args(command, argc - 2, argv + 2, it->second.flags));
   } catch (const UsageError& e) {
     std::fprintf(stderr, "cs_sync: usage error: %s\n", e.message.c_str());
     std::fprintf(stderr, "run 'cs_sync help' for the flag reference\n");

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,14 @@ wire-protocol modes (chronosync-wire v1, docs/NET.md):
   --start-offset S         this daemon's start offset S_p (default 0)
   --offsets s0,s1,...      leader only: the true offsets; enables the
                            realized-vs-claimed precision check
+
+each mode takes only the flags it reads; any other flag is a usage error:
+  live (default)           everything above the wire-protocol modes, --bind
+  --serve                  --listen --id --max-sessions --idle-timeout
+                           --serve-seconds --json
+  --peers                  --topology --n --lower --upper --model --seed
+                           --warmup --spacing --rounds --report-at --leader
+                           --deadline --json and the multihost flags above
 
 exit codes: 0 ok, 1 not converged / mismatch, 2 usage error, 3 error
 )");
@@ -354,6 +363,37 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     flags[arg] = argv[++i];
+  }
+
+  // Each mode accepts exactly the flags its code reads, so nothing on the
+  // command line is silently ignored.
+  const std::string mode = flags.count("--serve") != 0   ? "--serve"
+                           : flags.count("--peers") != 0 ? "--peers"
+                                                         : "live";
+  std::set<std::string> accepted{"--json"};
+  if (mode == "--serve") {
+    accepted.insert({"--serve", "--listen", "--id", "--max-sessions",
+                     "--idle-timeout", "--serve-seconds"});
+  } else {
+    // Both agent modes build the model and run the probe schedule.
+    accepted.insert({"--seed", "--model", "--n", "--topology", "--lower",
+                     "--upper", "--warmup", "--spacing", "--rounds",
+                     "--report-at", "--leader", "--deadline"});
+    if (mode == "--peers")
+      accepted.insert({"--peers", "--id", "--listen", "--base",
+                       "--start-offset", "--offsets"});
+    else
+      accepted.insert({"--skew", "--transport", "--delay-scale", "--drop",
+                       "--bind", "--trace", "--no-check", "--period",
+                       "--epochs", "--grace", "--drift-ppm", "--drift-slack",
+                       "--byz-plan", "--zones"});
+  }
+  for (const auto& flag : flags) {
+    if (accepted.count(flag.first) != 0) continue;
+    std::fprintf(stderr, "cs_syncd: unknown flag '%s' for %s mode\n",
+                 flag.first.c_str(), mode.c_str());
+    print_usage(stderr);
+    return kExitUsage;
   }
   const auto get = [&](const std::string& name, const std::string& fallback) {
     const auto it = flags.find(name);
