@@ -24,7 +24,7 @@ SyncOutcome hmm_one_shot(const SystemModel& model, std::span<const View> views,
 
   SyncOutcome out;
   out.mls_graph = mls_graph_from_stats(model, stats);
-  out.ms_estimates = global_shift_estimates(out.mls_graph, options.apsp);
+  out.ms_estimates = global_shift_estimates(out.mls_graph);
   ShiftsResult shifts = compute_shifts(out.ms_estimates, options.root);
   out.corrections = std::move(shifts.corrections);
   out.optimal_precision = shifts.a_max;

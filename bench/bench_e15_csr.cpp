@@ -107,8 +107,8 @@ ArmResult run_scratch(std::size_t n, std::size_t epochs, Perturbation kind,
   const auto start = Clock::now();
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     if (epoch > 0) perturb(inst, kind, rng);
-    const DistanceMatrix ms = global_shift_estimates(
-        inst.build(), ApspAlgorithm::kJohnson, &arm.metrics);
+    const DistanceMatrix ms =
+        global_shift_estimates(inst.build(), &arm.metrics);
     ShiftsOptions options;
     options.metrics = &arm.metrics;
     const ShiftsResult shifts = compute_shifts(ms, options);

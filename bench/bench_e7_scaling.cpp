@@ -19,6 +19,7 @@
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
 #include "oracles/cycle_mean.hpp"
+#include "oracles/floyd_warshall.hpp"
 #include "support.hpp"
 
 namespace {

@@ -15,6 +15,7 @@
 #include <cmath>
 
 #include "oracles/cycle_mean.hpp"
+#include "oracles/floyd_warshall.hpp"
 #include "support.hpp"
 
 namespace {

@@ -138,7 +138,8 @@ int main() {
     std::vector<ClockTime> boundaries;
     for (int k = 1; k <= 6; ++k)
       boundaries.push_back(ClockTime{10.0 * k});
-    const auto epochs = epochal_synchronize(model, views, boundaries);
+    const auto epochs =
+        epochal_synchronize_incremental(model, views, boundaries);
 
     Table saw({"real time (s)", "spread, re-sync (ms)",
                "spread, frozen epoch 1 (ms)"});

@@ -82,7 +82,7 @@ int main() {
   };
 
   std::printf("\nwithout carry-forward:\n");
-  describe(epochal_synchronize(model, views, boundaries, opts));
+  describe(epochal_synchronize_incremental(model, views, boundaries, opts));
 
   // 4. Carry-forward: reuse the last observed m̃ls bound for silent links,
   //    widened 5ms per epoch of staleness, for at most 2 epochs.  The
@@ -92,7 +92,7 @@ int main() {
   opts.staleness.widen_per_epoch = 0.005;
   opts.staleness.max_carry_epochs = 2;
   std::printf("\nwith carry-forward (widen 5ms/epoch, max age 2):\n");
-  describe(epochal_synchronize(model, views, boundaries, opts));
+  describe(epochal_synchronize_incremental(model, views, boundaries, opts));
 
   std::printf("\nfault counters: dropped=%llu link_down=%llu crash=%llu\n",
               static_cast<unsigned long long>(metrics.counter("fault.dropped")),

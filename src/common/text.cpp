@@ -97,6 +97,15 @@ std::uint64_t LineReader::u64(std::string_view tok) const {
   return v;
 }
 
+std::uint64_t LineReader::count(std::string_view tok,
+                                std::uint64_t limit) const {
+  const std::uint64_t v = u64(tok);
+  if (v > limit)
+    fail("count '" + std::string(tok) + "' exceeds the limit " +
+         std::to_string(limit));
+  return v;
+}
+
 Writer::Writer(std::ostream& os) : os_(&os), out_(chunk_) {
   chunk_.reserve(kChunkBytes);
 }

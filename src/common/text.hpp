@@ -57,6 +57,10 @@ class LineReader {
   /// sign); anything else and overflow fail as
   /// "bad unsigned integer '<tok>'".
   std::uint64_t u64(std::string_view tok) const;
+  /// u64(tok) for a count that sizes memory before the lines it counts
+  /// arrive: a value above `limit` fails as
+  /// "count '<tok>' exceeds the limit <limit>".
+  std::uint64_t count(std::string_view tok, std::uint64_t limit) const;
 
  private:
   std::istream& is_;

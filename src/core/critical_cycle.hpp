@@ -17,7 +17,7 @@
 
 #include <vector>
 
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 

@@ -9,8 +9,8 @@
 // instance may be partitioned: no finite precision is guaranteed across the
 // cut, only within each finiteness component (shifts.hpp).
 //
-// This header provides the two degraded-mode primitives the epoch drivers
-// layer over the plain pipeline:
+// This header provides the two degraded-mode primitives the epoch driver
+// layers over the plain pipeline:
 //
 //   * LinkCoverage — the per-direction observation census of one epoch, so
 //     operators can see *which* links starved rather than puzzle over a

@@ -1,5 +1,6 @@
 #include "core/epochs.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -20,17 +21,22 @@ void check_inputs(const SystemModel& model, std::span<const View> views,
       throw Error("epoch boundaries must be strictly increasing");
 }
 
-/// Shared driver: cut the views at each boundary, estimate m̃ls with
-/// coverage reporting, apply the staleness carry, hand the effective graph
-/// to `run_graph` (from-scratch or incremental pipeline tail).
-template <typename RunGraph>
-std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
-                                       std::span<const View> views,
-                                       std::span<const ClockTime> boundaries,
-                                       const EpochOptions& options,
-                                       RunGraph&& run_graph) {
+}  // namespace
+
+std::vector<EpochOutcome> epochal_synchronize_incremental(
+    const SystemModel& model, std::span<const View> views,
+    std::span<const ClockTime> boundaries, const EpochOptions& options) {
   check_inputs(model, views, boundaries);
   Metrics* metrics = options.sync.metrics;
+  // The incremental synchronizer maintains a dense APSP closure across
+  // epochs — the very matrix a zone plan exists to avoid.  Zoned epochs
+  // therefore run the per-epoch zoned solve instead (itself the fast path;
+  // there is no dense state to delta-update).
+  std::optional<IncrementalSynchronizer> dense;
+  if (options.sync.zones == nullptr)
+    dense.emplace(model, options.sync);
+  else
+    metrics_increment(metrics, "pipeline.zoned_epoch_fallbacks");
   MlsCarry carry(options.staleness, metrics);
 
   std::vector<EpochOutcome> out;
@@ -68,57 +74,12 @@ std::vector<EpochOutcome> drive_epochs(const SystemModel& model,
     Digraph effective = carry.apply(mls);
     epoch.carried_edges = carry.last_carried();
 
-    epoch.sync = run_graph(std::move(effective));
+    epoch.sync = dense ? dense->step_mls(std::move(effective))
+                       : synchronize_mls(std::move(effective), options.sync);
     out.push_back(std::move(epoch));
     metrics_increment(metrics, "pipeline.epochs");
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options) {
-  return drive_epochs(model, views, boundaries, options,
-                      [&](Digraph mls) {
-                        return synchronize_mls(std::move(mls), options.sync);
-                      });
-}
-
-std::vector<EpochOutcome> epochal_synchronize_incremental(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options) {
-  // The incremental synchronizer maintains a dense APSP closure across
-  // epochs — the very matrix a zone plan exists to avoid.  Zoned epochs
-  // therefore run the per-epoch zoned solve instead (itself the fast path;
-  // there is no dense state to delta-update).
-  if (options.sync.zones != nullptr) {
-    metrics_increment(options.sync.metrics, "pipeline.zoned_epoch_fallbacks");
-    return epochal_synchronize(model, views, boundaries, options);
-  }
-  IncrementalSynchronizer sync(model, options.sync);
-  return drive_epochs(model, views, boundaries, options,
-                      [&](Digraph mls) {
-                        return sync.step_mls(std::move(mls));
-                      });
-}
-
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options) {
-  EpochOptions epoch_options;
-  epoch_options.sync = options;
-  return epochal_synchronize(model, views, boundaries, epoch_options);
-}
-
-std::vector<EpochOutcome> epochal_synchronize_incremental(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options) {
-  EpochOptions epoch_options;
-  epoch_options.sync = options;
-  return epochal_synchronize_incremental(model, views, boundaries,
-                                         epoch_options);
 }
 
 }  // namespace cs

@@ -14,7 +14,7 @@
 // corrections current (experiment E9 measures the sawtooth).
 //
 // Degraded mode: deployments lose messages, links, and whole processors
-// (sim/fault_plan.hpp injects exactly that).  The drivers therefore report
+// (sim/fault_plan.hpp injects exactly that).  The driver therefore reports
 // per-link observation coverage and pairing tallies for every epoch, can
 // run on *sliding windows* instead of cumulative prefixes (bounded memory,
 // drift-stale probes expire), and can carry forward the previous epochs'
@@ -69,29 +69,17 @@ struct EpochOptions {
 /// Boundaries must be increasing.  Epochs whose cuts contain no pairable
 /// traffic yield unbounded outcomes (per-component corrections of 0), like
 /// any traffic-less instance.
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options);
-
-/// Same contract and (to float tolerance) same results as
-/// epochal_synchronize, but epoch k+1 reuses epoch k's APSP closure via a
-/// delta-aware update and warm-starts Howard's policy iteration from epoch
-/// k's policy.  Consecutive epoch cuts differ in few m̃ls edges, so this is
-/// the fast path for long boundary sequences; BENCH_pipeline.json tracks
-/// the speedup.
+///
+/// Epoch k+1 reuses epoch k's APSP closure via a delta-aware update and
+/// warm-starts Howard's policy iteration from epoch k's policy
+/// (core/incremental.hpp); consecutive epoch cuts differ in few m̃ls edges.
+/// Results agree with synchronize() on the same cuts to float tolerance.
+/// A zone plan (options.sync.zones) runs synchronize_mls per epoch
+/// instead: there is no dense closure to carry.
 /// options.sync.metrics additionally receives per-epoch stage timings and
 /// incremental-vs-rebuild hit counters.
 std::vector<EpochOutcome> epochal_synchronize_incremental(
     const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const EpochOptions& options);
-
-/// Convenience overloads preserving the historical SyncOptions signature
-/// (cumulative prefixes, no carry-forward).
-std::vector<EpochOutcome> epochal_synchronize(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options = {});
-std::vector<EpochOutcome> epochal_synchronize_incremental(
-    const SystemModel& model, std::span<const View> views,
-    std::span<const ClockTime> boundaries, const SyncOptions& options = {});
+    std::span<const ClockTime> boundaries, const EpochOptions& options = {});
 
 }  // namespace cs

@@ -1,5 +1,7 @@
 #include "core/global_estimates.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "graph/johnson.hpp"
 
@@ -19,26 +21,15 @@ Digraph slack_relaxed_mls(const Digraph& mls_graph) {
 }
 
 DistanceMatrix global_shift_estimates(const Digraph& mls_graph,
-                                      ApspAlgorithm algorithm,
                                       Metrics* metrics) {
   auto timer = Metrics::scoped(metrics, "stage.global_estimates_seconds");
-  const Digraph relaxed = slack_relaxed_mls(mls_graph);
-
-  std::optional<DistanceMatrix> m;
-  switch (algorithm) {
-    case ApspAlgorithm::kJohnson:
-      m = johnson(relaxed);
-      break;
-    case ApspAlgorithm::kFloydWarshall:
-      m = floyd_warshall(relaxed);
-      break;
-  }
+  std::optional<DistanceMatrix> m = johnson(slack_relaxed_mls(mls_graph));
   if (!m)
     throw InvalidAssumption(
         "negative m̃ls cycle: the observed execution contradicts the "
         "declared delay assumptions");
   metrics_increment(metrics, "apsp.from_scratch_runs");
-  return *m;
+  return std::move(*m);
 }
 
 }  // namespace cs

@@ -4,18 +4,14 @@
 // over maximal local shifts (Lemma 5.3), and the same holds verbatim for
 // the estimated quantities because start-time terms telescope along paths.
 // So m̃s = APSP(m̃ls graph), with +inf for pairs no constraint chain
-// connects.
+// connects.  The closure runs Johnson's algorithm (graph/johnson.hpp); the
+// epoch driver delta-updates it instead (core/incremental.hpp).
 #pragma once
 
 #include "common/metrics.hpp"
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
-
-enum class ApspAlgorithm {
-  kJohnson,        ///< default: O(nm + n^2 log n), right for sparse networks
-  kFloydWarshall,  ///< O(n^3) reference; ablation bench E8 compares
-};
 
 /// Per-edge slack added before APSP so that executions sitting exactly on
 /// their delay bounds (cycle weight ~-1 ulp where theory guarantees >= 0)
@@ -32,9 +28,7 @@ Digraph slack_relaxed_mls(const Digraph& mls_graph);
 /// assumptions (cycle weights are invariant between mls and m̃ls, and true
 /// mls cycles are non-negative).  `metrics` (optional) receives the
 /// "stage.global_estimates_seconds" timing.
-DistanceMatrix global_shift_estimates(
-    const Digraph& mls_graph,
-    ApspAlgorithm algorithm = ApspAlgorithm::kJohnson,
-    Metrics* metrics = nullptr);
+DistanceMatrix global_shift_estimates(const Digraph& mls_graph,
+                                      Metrics* metrics = nullptr);
 
 }  // namespace cs

@@ -1,7 +1,6 @@
 #include "core/incremental.hpp"
 
 #include "common/error.hpp"
-#include "core/local_estimates.hpp"
 
 namespace cs {
 
@@ -10,28 +9,6 @@ IncrementalSynchronizer::IncrementalSynchronizer(const SystemModel& model,
     : model_(&model),
       options_(options),
       apsp_(IncrementalApspOptions{}, options.metrics) {}
-
-void IncrementalSynchronizer::reset() {
-  apsp_ = IncrementalApsp(IncrementalApspOptions{}, options_.metrics);
-  policy_.clear();
-}
-
-SyncOutcome IncrementalSynchronizer::step(std::span<const View> views) {
-  if (views.size() != model_->processor_count())
-    throw InvalidExecution("need exactly one view per processor");
-  for (std::size_t i = 0; i < views.size(); ++i)
-    if (views[i].pid != i)
-      throw InvalidExecution("views must be ordered by processor id");
-
-  Digraph mls;
-  {
-    auto timer =
-        Metrics::scoped(options_.metrics, "stage.local_estimates_seconds");
-    mls = local_shift_estimates(*model_, views, options_.match,
-                                options_.threads);
-  }
-  return step_mls(std::move(mls));
-}
 
 SyncOutcome IncrementalSynchronizer::step_mls(Digraph mls_graph) {
   if (mls_graph.node_count() != model_->processor_count())
@@ -46,8 +23,9 @@ SyncOutcome IncrementalSynchronizer::step_mls(Digraph mls_graph) {
     // Diff the same slack-relaxed graph the from-scratch path closes over,
     // so both paths agree to float tolerance.
     if (!apsp_.update(slack_relaxed_mls(out.mls_graph))) {
-      // Invalid state is not carried: the next step() starts clean.
-      reset();
+      // Invalid state is not carried: the next step_mls() starts clean.
+      apsp_ = IncrementalApsp(IncrementalApspOptions{}, options_.metrics);
+      policy_.clear();
       throw InvalidAssumption(
           "negative m̃ls cycle: the observed execution contradicts the "
           "declared delay assumptions");

@@ -20,7 +20,7 @@
 
 #include "common/extreal.hpp"
 #include "common/time.hpp"
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 

@@ -28,7 +28,7 @@
 #include "common/extreal.hpp"
 #include "common/metrics.hpp"
 #include "graph/cycle_mean.hpp"
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 #include "graph/scc.hpp"
 
 namespace cs {

@@ -73,8 +73,7 @@ SyncOutcome synchronize_mls(Digraph mls_graph, const SyncOptions& options) {
 
   SyncOutcome out;
   out.mls_graph = std::move(mls_graph);
-  out.ms_estimates =
-      global_shift_estimates(out.mls_graph, options.apsp, options.metrics);
+  out.ms_estimates = global_shift_estimates(out.mls_graph, options.metrics);
 
   ShiftsOptions shift_options;
   shift_options.root = options.root;

@@ -26,7 +26,6 @@ struct ZonePlan;  // core/zones.hpp
 struct SyncOptions {
   /// Root processor for the gauge choice (correction of root is 0).
   NodeId root{0};
-  ApspAlgorithm apsp{ApspAlgorithm::kJohnson};
   /// kDropOrphans when the views are epoch-boundary prefixes.
   MatchPolicy match{MatchPolicy::kStrict};
   /// Optional instrumentation sink: per-stage wall-clock timings
@@ -90,8 +89,9 @@ SyncOutcome synchronize(const SystemModel& model, std::span<const View> views,
 
 /// Pipeline tail — GLOBAL ESTIMATES + SHIFTS — over an already-built m̃ls
 /// graph.  synchronize() is local_shift_estimates() followed by this; the
-/// epoch drivers call it directly so degraded-mode edge carry-forward
-/// (core/degraded.hpp) can interpose between estimation and the closure.
+/// epoch driver calls it (on zoned plans) after degraded-mode edge
+/// carry-forward (core/degraded.hpp) has interposed between estimation and
+/// the closure.
 SyncOutcome synchronize_mls(Digraph mls_graph,
                             const SyncOptions& options = {});
 

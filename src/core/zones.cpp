@@ -208,8 +208,7 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
             const Edge& ed = mls_graph.edge(e);
             sub.add_edge(local[ed.from], local[ed.to], ed.weight);
           }
-          const DistanceMatrix ms =
-              global_shift_estimates(sub, options.apsp, nullptr);
+          const DistanceMatrix ms = global_shift_estimates(sub);
           ShiftsOptions so;
           so.root = local[out.plan.leaders[z]];
           ShiftsResult sr = compute_shifts(ms, so);
@@ -261,8 +260,7 @@ ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan_in,
                                 best[a * zcount + b]);
   }
 
-  out.quotient_ms =
-      global_shift_estimates(out.quotient, options.apsp, options.metrics);
+  out.quotient_ms = global_shift_estimates(out.quotient, options.metrics);
   {
     ShiftsOptions qo;
     qo.root = out.plan.zone_of[options.root];

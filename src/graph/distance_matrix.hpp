@@ -1,9 +1,6 @@
-// Floyd–Warshall all-pairs shortest paths.
-//
-// The reference implementation for GLOBAL ESTIMATES (Theorem 5.5): m̃s(p,q)
-// is exactly the p→q distance under edge weights m̃ls.  The pipeline uses
-// Johnson's algorithm for sparse networks; Floyd–Warshall serves dense
-// graphs and is the oracle both are tested against.
+// The m̃s matrix: all-pairs distances, as GLOBAL ESTIMATES (Theorem 5.5)
+// produces them (graph/johnson.hpp, graph/incremental_apsp.hpp) and SHIFTS
+// consumes them (core/shifts.hpp).
 #pragma once
 
 #include <vector>
@@ -39,9 +36,5 @@ class DistanceMatrix {
   std::size_t n_{0};
   std::vector<double> d_;
 };
-
-/// Returns std::nullopt iff the graph has a negative cycle (detected by a
-/// negative diagonal entry).
-std::optional<DistanceMatrix> floyd_warshall(const Digraph& g);
 
 }  // namespace cs

@@ -221,8 +221,8 @@ bool IncrementalApsp::update(const Digraph& g) {
     }
   }
 
-  // Defensive parity with floyd_warshall(): a negative diagonal entry is a
-  // negative cycle no matter how it slipped in.
+  // Defensive: a negative diagonal entry is a negative cycle no matter how
+  // it slipped in.
   for (std::size_t i = 0; i < n_; ++i)
     if (dist_.at(i, i) < 0.0) {
       valid_ = false;

@@ -53,7 +53,7 @@
 
 #include "common/metrics.hpp"
 #include "graph/arena.hpp"
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 

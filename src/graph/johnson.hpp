@@ -6,7 +6,7 @@
 
 #include <optional>
 
-#include "graph/floyd_warshall.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 

@@ -22,7 +22,7 @@ std::size_t read_preamble(text::LineReader& r, const std::string& header) {
   if (!r.next()) r.fail_at(r.line_no() + 1, "missing 'processors <n>'");
   if (r.size() != 2 || r[0] != "processors")
     r.fail("expected 'processors <n>', got '" + r.line() + "'");
-  return static_cast<std::size_t>(r.u64(r[1]));
+  return static_cast<std::size_t>(r.count(r[1], kMaxProcessors));
 }
 
 }  // namespace
@@ -73,21 +73,25 @@ std::vector<View> load_views(std::istream& is) {
     if (pid < i)
       r.fail("duplicate view block for processor " + std::to_string(pid));
     if (pid != i) r.fail("views must appear in pid order");
-    const auto count = static_cast<std::size_t>(r.u64(r[2]));
+    // The declared count is untrusted: it bounds the loop but sizes
+    // nothing, so only the events actually present are held.
+    const std::uint64_t count = r.u64(r[2]);
+    const std::size_t count_line = r.line_no();
+    auto declared = [&] {
+      return "view " + std::to_string(pid) + " declares " +
+             std::to_string(count) + " events at line " +
+             std::to_string(count_line);
+    };
     View& v = views[i];
     v.pid = pid;
-    v.events.reserve(count);
-    for (std::size_t e = 0; e < count; ++e) {
+    for (std::uint64_t e = 0; e < count; ++e) {
       if (!r.next())
-        r.fail_at(r.line_no() + 1,
-                  "truncated stream: view " + std::to_string(pid) +
-                      " declares " + std::to_string(count) +
-                      " events but only " + std::to_string(e) +
-                      " are present");
+        r.fail_at(r.line_no() + 1, "truncated stream: " + declared() +
+                                       " but only " + std::to_string(e) +
+                                       " are present");
       const std::string_view tag = r[0];
       if (tag == "view")
-        r.fail("event count mismatch: view " + std::to_string(pid) +
-               " declares " + std::to_string(count) + " events but only " +
+        r.fail("event count mismatch: " + declared() + " but only " +
                std::to_string(e) + " precede the next view block");
       ViewEvent ev;
       if (tag == "S" && r.size() == 2) {

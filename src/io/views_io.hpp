@@ -38,6 +38,13 @@
 
 namespace cs {
 
+/// Upper bound on the `processors <n>` count of a views, model or trace
+/// document.  The readers size per-processor state from n before the
+/// per-processor lines arrive, so a larger n is refused as malformed
+/// instead of allocated.  2^20 is ten times the largest system the lab
+/// runs (the 102,404-agent fabric); docs/TRACE.md states the limit.
+inline constexpr std::size_t kMaxProcessors = std::size_t{1} << 20;
+
 void save_views(std::ostream& os, std::span<const View> views);
 std::vector<View> load_views(std::istream& is);  ///< throws cs::Error
 

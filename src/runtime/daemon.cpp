@@ -250,7 +250,6 @@ LiveReport run_live(const SystemModel& model, const LiveConfig& config) {
     plan.options = epoch_options;
     plan.options.sync.metrics = nullptr;
     plan.boundaries = boundaries;
-    plan.incremental = true;
     writer->plan(plan);
     for (const EpochOutcome& outcome : offline) writer->outcome(outcome);
 

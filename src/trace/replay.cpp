@@ -228,12 +228,8 @@ ReplayResult replay(const Trace& trace) {
 
   EpochOptions options = trace.plan.options;
   options.sync.metrics = &result.metrics;
-  result.epochs =
-      trace.plan.incremental
-          ? epochal_synchronize_incremental(model, result.views,
-                                            trace.plan.boundaries, options)
-          : epochal_synchronize(model, result.views, trace.plan.boundaries,
-                                options);
+  result.epochs = epochal_synchronize_incremental(
+      model, result.views, trace.plan.boundaries, options);
 
   Report report(64);
   if (!trace.recorded.empty()) {
@@ -290,15 +286,8 @@ std::vector<std::string> diff_traces(const Trace& a, const Trace& b,
     }
   }
 
-  if (a.plan.incremental != b.plan.incremental)
-    report.add(std::string("plan pipeline: ") +
-               (a.plan.incremental ? "incremental" : "rebuild") + " vs " +
-               (b.plan.incremental ? "incremental" : "rebuild"));
   compare_u64(report, "plan root", a.plan.options.sync.root,
               b.plan.options.sync.root);
-  compare_u64(report, "plan apsp",
-              static_cast<std::uint64_t>(a.plan.options.sync.apsp),
-              static_cast<std::uint64_t>(b.plan.options.sync.apsp));
   compare_u64(report, "plan match",
               static_cast<std::uint64_t>(a.plan.options.sync.match),
               static_cast<std::uint64_t>(b.plan.options.sync.match));

@@ -29,10 +29,6 @@ LossCause parse_loss_cause(const text::LineReader& r, std::string_view tok) {
   r.fail("unknown loss cause '" + std::string(tok) + "'");
 }
 
-const char* apsp_name(ApspAlgorithm a) {
-  return a == ApspAlgorithm::kJohnson ? "johnson" : "floyd-warshall";
-}
-
 const char* match_name(MatchPolicy m) {
   return m == MatchPolicy::kStrict ? "strict" : "drop-orphans";
 }
@@ -124,9 +120,7 @@ void save_trace(std::ostream& os, const Trace& trace) {
   w << "end model\n";
 
   const ReplayPlan& plan = trace.plan;
-  w << "pipeline " << (plan.incremental ? "incremental" : "rebuild") << '\n';
   w << "root " << plan.options.sync.root << '\n';
-  w << "apsp " << apsp_name(plan.options.sync.apsp) << '\n';
   w << "match " << match_name(plan.options.sync.match) << '\n';
   w << "window " << plan.options.window.sec << '\n';
   const StalenessOptions& st = plan.options.staleness;
@@ -308,7 +302,7 @@ Trace load_trace(std::istream& is) {
       trace.events.push_back(parse_event(r));
     } else if (key == "processors") {
       need(2);
-      trace.processors = r.u64(r[1]);
+      trace.processors = r.count(r[1], kMaxProcessors);
       trace.starts.assign(trace.processors, 0.0);
       saw_processors = true;
     } else if (key == "seed") {
@@ -342,24 +336,26 @@ Trace load_trace(std::istream& is) {
       if (!closed) r.fail("unterminated embedded model block");
       trace.model_text = std::move(body);
     } else if (key == "pipeline") {
+      // Written by recorders that still offered a from-scratch epoch
+      // driver.  An incremental recording replays bit for bit on the one
+      // driver; a rebuild recording differs from it in the last ulps.
       need(2);
-      if (r[1] == "incremental")
-        trace.plan.incremental = true;
-      else if (r[1] == "rebuild")
-        trace.plan.incremental = false;
-      else
+      if (r[1] == "rebuild")
+        r.fail("record '" + r.line() +
+               "': the trace predates the single epoch driver (delta APSP "
+               "+ Howard warm start) and must be re-recorded; its recorded "
+               "corrections cannot replay bit for bit");
+      if (r[1] != "incremental")
         r.fail("unknown pipeline mode '" + std::string(r[1]) + "'");
+    } else if (key == "apsp") {
+      // Written by recorders that still offered a choice of APSP algorithm.
+      // The epoch driver never read it, so the line is ignored.
+      need(2);
+      if (r[1] != "johnson" && r[1] != "floyd-warshall")
+        r.fail("unknown apsp algorithm '" + std::string(r[1]) + "'");
     } else if (key == "root") {
       need(2);
       trace.plan.options.sync.root = static_cast<NodeId>(r.u64(r[1]));
-    } else if (key == "apsp") {
-      need(2);
-      if (r[1] == "johnson")
-        trace.plan.options.sync.apsp = ApspAlgorithm::kJohnson;
-      else if (r[1] == "floyd-warshall")
-        trace.plan.options.sync.apsp = ApspAlgorithm::kFloydWarshall;
-      else
-        r.fail("unknown apsp algorithm '" + std::string(r[1]) + "'");
     } else if (key == "cycle-mean") {
       // Written by recorders that still offered a choice of cycle-mean
       // algorithm; their recorded corrections cannot replay bit for bit.

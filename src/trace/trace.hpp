@@ -13,7 +13,7 @@
 //   chronosync-trace v1
 //   processors <n> / seed <u64> / start <pid> <t> / rate <pid> <r>
 //   begin model ... end model          # embedded chronosync-model v1 doc
-//   pipeline/root/apsp/match/window/staleness   # the replay plan
+//   root/match/window/staleness        # the replay plan
 //   boundary <T_k>                     # the epoch schedule
 //   event <tag> ...                    # the run, in dispatch order
 //   tally <name> <value>               # simulator summary tallies
@@ -74,9 +74,6 @@ struct TraceEvent {
 struct ReplayPlan {
   EpochOptions options;
   std::vector<ClockTime> boundaries;
-  /// true: epochal_synchronize_incremental (delta APSP + Howard warm
-  /// start); false: the from-scratch driver.
-  bool incremental{true};
 };
 
 /// Recorded outcome of one epoch — the bit-exact expectations replay

@@ -166,13 +166,8 @@ RecordResult record_run(const SystemModel& model,
     result.plan.boundaries.push_back(ClockTime{last + 1.0});
   }
 
-  result.epochs =
-      result.plan.incremental
-          ? epochal_synchronize_incremental(model, views,
-                                            result.plan.boundaries,
-                                            result.plan.options)
-          : epochal_synchronize(model, views, result.plan.boundaries,
-                                result.plan.options);
+  result.epochs = epochal_synchronize_incremental(
+      model, views, result.plan.boundaries, result.plan.options);
 
   writer.plan(result.plan);
   for (const EpochOutcome& epoch : result.epochs) writer.outcome(epoch);

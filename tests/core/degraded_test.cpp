@@ -12,6 +12,7 @@
 #include <unordered_set>
 
 #include "core/epochs.hpp"
+#include "core/local_estimates.hpp"
 #include "graph/topology.hpp"
 #include "proto/beacon.hpp"
 #include "sim/fault_plan.hpp"
@@ -214,7 +215,8 @@ TEST(DegradedEpochs, CarryForwardBridgesAnOutage) {
   EpochOptions opts;
   opts.window = Duration{0.8};  // sliding window: old probes age out
 
-  const auto starved = epochal_synchronize(model, views, boundaries, opts);
+  const auto starved =
+      epochal_synchronize_incremental(model, views, boundaries, opts);
   ASSERT_EQ(starved.size(), 3u);
   EXPECT_TRUE(starved[0].sync.bounded());  // outage starts at 1.0
   EXPECT_FALSE(starved[2].sync.bounded());
@@ -225,23 +227,31 @@ TEST(DegradedEpochs, CarryForwardBridgesAnOutage) {
 
   opts.staleness.carry_forward = true;
   opts.staleness.widen_per_epoch = 0.01;
-  const auto carried = epochal_synchronize(model, views, boundaries, opts);
+  const auto carried =
+      epochal_synchronize_incremental(model, views, boundaries, opts);
   ASSERT_TRUE(carried[2].sync.bounded());
   EXPECT_GT(carried[2].carried_edges, 0u);
   // Staleness widening can only loosen the guarantee of the first epoch.
   EXPECT_GE(carried[2].sync.optimal_precision.finite(),
             carried[0].sync.optimal_precision.finite() - 1e-12);
 
-  // Both drivers agree in degraded mode too.
-  const auto incr =
-      epochal_synchronize_incremental(model, views, boundaries, opts);
-  ASSERT_EQ(incr.size(), carried.size());
-  for (std::size_t k = 0; k < incr.size(); ++k) {
-    ASSERT_EQ(incr[k].sync.bounded(), carried[k].sync.bounded());
-    ASSERT_EQ(incr[k].carried_edges, carried[k].carried_edges);
-    for (std::size_t p = 0; p < incr[k].sync.corrections.size(); ++p)
-      EXPECT_NEAR(incr[k].sync.corrections[p],
-                  carried[k].sync.corrections[p], 1e-9);
+  // The driver agrees in degraded mode with a from-scratch synchronize_mls
+  // of every epoch's window, carried through the same staleness memory.
+  MlsCarry carry(opts.staleness);
+  ASSERT_EQ(carried.size(), boundaries.size());
+  for (std::size_t k = 0; k < boundaries.size(); ++k) {
+    std::vector<View> cuts;
+    for (const View& v : views)
+      cuts.push_back(v.window(boundaries[k] - opts.window, boundaries[k]));
+    const LinkTraffic traffic =
+        LinkTraffic::estimated_from_views(cuts, MatchPolicy::kDropOrphans);
+    const SyncOutcome scratch = synchronize_mls(
+        carry.apply(mls_graph_from_traffic(model, traffic)), opts.sync);
+    ASSERT_EQ(carried[k].sync.bounded(), scratch.bounded());
+    ASSERT_EQ(carried[k].carried_edges, carry.last_carried());
+    for (std::size_t p = 0; p < scratch.corrections.size(); ++p)
+      EXPECT_NEAR(carried[k].sync.corrections[p], scratch.corrections[p],
+                  1e-9);
   }
 }
 
@@ -261,7 +271,8 @@ TEST(DegradedEpochs, CarriedEdgesExpireIntoPartition) {
   opts.staleness.widen_per_epoch = 0.01;
   opts.staleness.max_carry_epochs = 1;
 
-  const auto epochs = epochal_synchronize(model, views, boundaries, opts);
+  const auto epochs =
+      epochal_synchronize_incremental(model, views, boundaries, opts);
   ASSERT_EQ(epochs.size(), 4u);
   EXPECT_TRUE(epochs[1].sync.bounded());   // age 1: still carried
   EXPECT_GT(epochs[1].carried_edges, 0u);
@@ -286,7 +297,8 @@ TEST(DegradedEpochs, LossyEpochWithCrashReportsPerComponentPrecision) {
   EpochOptions opts;
   opts.sync.metrics = &metrics;
   const std::vector<ClockTime> boundaries{ClockTime{10.0}};
-  const auto epochs = epochal_synchronize(model, views, boundaries, opts);
+  const auto epochs =
+      epochal_synchronize_incremental(model, views, boundaries, opts);
   ASSERT_EQ(epochs.size(), 1u);
   const EpochOutcome& ep = epochs[0];
 

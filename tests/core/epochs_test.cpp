@@ -37,7 +37,7 @@ TEST(Epochs, BoundariesMustIncrease) {
   const SimResult sim = test::run_ping_pong(model, 1, 0.1);
   const auto views = sim.execution.views();
   const std::vector<ClockTime> bad{ClockTime{2.0}, ClockTime{1.0}};
-  EXPECT_THROW(epochal_synchronize(model, views, bad), Error);
+  EXPECT_THROW(epochal_synchronize_incremental(model, views, bad), Error);
 }
 
 TEST(Epochs, PrecisionTightensWithMoreTraffic) {
@@ -57,7 +57,7 @@ TEST(Epochs, PrecisionTightensWithMoreTraffic) {
 
   const std::vector<ClockTime> boundaries{
       ClockTime{1.0}, ClockTime{2.0}, ClockTime{3.0}, ClockTime{10.0}};
-  const auto epochs = epochal_synchronize(model, views, boundaries);
+  const auto epochs = epochal_synchronize_incremental(model, views, boundaries);
   ASSERT_EQ(epochs.size(), 4u);
   double prev = kInfDist;
   for (const EpochOutcome& ep : epochs) {
@@ -77,7 +77,7 @@ TEST(Epochs, EarlyEpochBeforeTrafficIsUnbounded) {
   const SimResult sim = test::run_ping_pong(model, 2, 0.1);
   const auto views = sim.execution.views();
   const std::vector<ClockTime> boundaries{ClockTime{0.01}, ClockTime{50.0}};
-  const auto epochs = epochal_synchronize(model, views, boundaries);
+  const auto epochs = epochal_synchronize_incremental(model, views, boundaries);
   EXPECT_FALSE(epochs[0].sync.bounded());
   EXPECT_TRUE(epochs[1].sync.bounded());
 }
@@ -99,7 +99,7 @@ TEST(Epochs, CorrectionsSoundAtEveryEpoch) {
   const std::vector<ClockTime> boundaries{ClockTime{1.0}, ClockTime{2.0},
                                           ClockTime{5.0}};
   for (const EpochOutcome& ep :
-       epochal_synchronize(model, views, boundaries)) {
+       epochal_synchronize_incremental(model, views, boundaries)) {
     if (!ep.sync.bounded()) continue;
     EXPECT_LE(realized_precision(starts, ep.sync.corrections),
               ep.sync.optimal_precision.finite() + 1e-9);

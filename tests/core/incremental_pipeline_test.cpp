@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/epochs.hpp"
-#include "core/incremental.hpp"
 #include "core/shifts.hpp"
 #include "graph/incremental_apsp.hpp"
 #include "graph/johnson.hpp"
@@ -141,7 +140,8 @@ TEST(IncrementalPipelineProperty, TwoHundredPerturbedEpochSequences) {
 }
 
 /// End-to-end equivalence on simulated traffic: the incremental epoch
-/// driver must reproduce epochal_synchronize() on growing view prefixes.
+/// driver must reproduce a from-scratch synchronize() of every epoch's
+/// growing view prefixes.
 TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
   for (std::uint64_t seed : {3u, 17u, 42u}) {
     SystemModel model = test::bounded_model(make_ring(6), 0.005, 0.02);
@@ -160,19 +160,21 @@ TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
         ClockTime{0.01}, ClockTime{1.0}, ClockTime{1.5}, ClockTime{2.0},
         ClockTime{2.5},  ClockTime{3.0}, ClockTime{10.0}};
 
-    SyncOptions options;
     Metrics metrics;
-    SyncOptions inc_options = options;
-    inc_options.metrics = &metrics;
-
-    const auto scratch =
-        epochal_synchronize(model, views, boundaries, options);
+    EpochOptions inc_options;
+    inc_options.sync.metrics = &metrics;
     const auto incremental = epochal_synchronize_incremental(
         model, views, boundaries, inc_options);
 
-    ASSERT_EQ(scratch.size(), incremental.size());
-    for (std::size_t k = 0; k < scratch.size(); ++k) {
-      const SyncOutcome& a = scratch[k].sync;
+    // The reference: every epoch from scratch on the same cuts, paired
+    // with the driver's epoch-cut policy.
+    SyncOptions scratch_options;
+    scratch_options.match = MatchPolicy::kDropOrphans;
+    ASSERT_EQ(incremental.size(), boundaries.size());
+    for (std::size_t k = 0; k < boundaries.size(); ++k) {
+      std::vector<View> cuts;
+      for (const View& v : views) cuts.push_back(v.prefix(boundaries[k]));
+      const SyncOutcome a = synchronize(model, cuts, scratch_options);
       const SyncOutcome& b = incremental[k].sync;
       EXPECT_EQ(a.bounded(), b.bounded()) << "epoch " << k;
       if (a.bounded() && b.bounded()) {
@@ -195,17 +197,20 @@ TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
   }
 }
 
-/// The incremental synchronizer honors the synchronize() error contract and
-/// recovers after an inadmissible epoch.
+/// The epoch driver honors the synchronize() error contract for malformed
+/// views.
 TEST(IncrementalPipeline, MalformedViewsRejected) {
   SystemModel model = test::bounded_model(make_line(2), 0.01, 0.05);
   const SimResult sim = test::run_ping_pong(model, 9, 0.1);
   auto views = sim.execution.views();
+  const std::vector<ClockTime> boundaries{ClockTime{1.0}, ClockTime{50.0}};
 
-  IncrementalSynchronizer sync(model);
   std::vector<View> swapped{views[1], views[0]};
-  EXPECT_THROW((void)sync.step(swapped), InvalidExecution);
-  EXPECT_NO_THROW((void)sync.step(views));
+  EXPECT_THROW((void)epochal_synchronize_incremental(model, swapped,
+                                                     boundaries),
+               InvalidExecution);
+  EXPECT_NO_THROW(
+      (void)epochal_synchronize_incremental(model, views, boundaries));
 }
 
 }  // namespace

@@ -22,11 +22,11 @@
 #include <string>
 #include <tuple>
 
-#include "core/adversary.hpp"
 #include "core/local_estimates.hpp"
 #include "core/precision.hpp"
 #include "core/synchronizer.hpp"
 #include "delaymodel/windowed_bias.hpp"
+#include "oracles/adversary.hpp"
 #include "support/builders.hpp"
 
 namespace cs {

@@ -9,6 +9,7 @@
 #include "core/global_estimates.hpp"
 #include "core/local_estimates.hpp"
 #include "core/synchronizer.hpp"
+#include "oracles/floyd_warshall.hpp"
 #include "support/builders.hpp"
 
 namespace cs {
@@ -65,17 +66,18 @@ TEST(GlobalEstimates, PathSumsOnALine) {
 }
 
 TEST(GlobalEstimates, JohnsonAndFloydAgree) {
+  // The pipeline's Johnson closure against the Floyd–Warshall oracle on the
+  // same slack-relaxed graph.
   SystemModel model = test::bounded_model(make_ring(6), 0.01, 0.05);
   const SimResult r = test::run_ping_pong(model, 22, 0.4);
   const auto views = r.execution.views();
   const Digraph mls = local_shift_estimates(model, views);
-  const DistanceMatrix a =
-      global_shift_estimates(mls, ApspAlgorithm::kJohnson);
-  const DistanceMatrix b =
-      global_shift_estimates(mls, ApspAlgorithm::kFloydWarshall);
+  const DistanceMatrix a = global_shift_estimates(mls);
+  const auto b = floyd_warshall(slack_relaxed_mls(mls));
+  ASSERT_TRUE(b.has_value());
   for (std::size_t i = 0; i < a.size(); ++i)
     for (std::size_t j = 0; j < a.size(); ++j)
-      EXPECT_NEAR(a.at(i, j), b.at(i, j), 1e-9);
+      EXPECT_NEAR(a.at(i, j), b->at(i, j), 1e-9);
 }
 
 TEST(GlobalEstimates, InconsistentViewsThrow) {
@@ -114,25 +116,22 @@ TEST(Synchronizer, TwoNodeBiasAnalyticPrecision) {
 }
 
 TEST(Synchronizer, AlgorithmChoicesAgree) {
-  // Johnson and Floyd-Warshall closures must produce identical outcomes.
+  // synchronize()'s Johnson closure and a Floyd–Warshall oracle closure of
+  // the same m̃ls graph must produce identical outcomes.
   Rng topo_rng(55);
   SystemModel model = test::bounded_model(
       make_connected_gnp(8, 0.35, topo_rng), 0.005, 0.03);
   const SimResult sim = test::run_ping_pong(model, 17, 0.25);
   const auto views = sim.execution.views();
 
-  std::vector<SyncOutcome> outs;
-  for (auto apsp : {ApspAlgorithm::kJohnson, ApspAlgorithm::kFloydWarshall}) {
-    SyncOptions opt;
-    opt.apsp = apsp;
-    outs.push_back(synchronize(model, views, opt));
-  }
-  for (std::size_t i = 1; i < outs.size(); ++i) {
-    EXPECT_NEAR(outs[i].optimal_precision.finite(),
-                outs[0].optimal_precision.finite(), 1e-9);
-    for (std::size_t p = 0; p < outs[0].corrections.size(); ++p)
-      EXPECT_NEAR(outs[i].corrections[p], outs[0].corrections[p], 1e-9);
-  }
+  const SyncOutcome out = synchronize(model, views);
+  const auto oracle_ms = floyd_warshall(slack_relaxed_mls(out.mls_graph));
+  ASSERT_TRUE(oracle_ms.has_value());
+  const ShiftsResult oracle = compute_shifts(*oracle_ms);
+  EXPECT_NEAR(oracle.a_max.finite(), out.optimal_precision.finite(), 1e-9);
+  ASSERT_EQ(oracle.corrections.size(), out.corrections.size());
+  for (std::size_t p = 0; p < out.corrections.size(); ++p)
+    EXPECT_NEAR(oracle.corrections[p], out.corrections[p], 1e-9);
 }
 
 TEST(Synchronizer, ValidatesViewOrder) {

@@ -25,9 +25,9 @@
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"
 #include "graph/bellman_ford.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "graph/topology.hpp"
 #include "oracles/cycle_mean.hpp"
+#include "oracles/floyd_warshall.hpp"
 #include "support/builders.hpp"
 
 namespace cs {
@@ -226,10 +226,11 @@ TEST(ShiftsMetricsSink, ResultsDoNotDependOnTheSink) {
 
   const std::vector<ClockTime> boundaries{ClockTime{0.5}, ClockTime{1.0},
                                           ClockTime{1.5}, ClockTime{10.0}};
-  const auto plain =
-      epochal_synchronize_incremental(model, views, boundaries, SyncOptions{});
+  EpochOptions with_epochs;
+  with_epochs.sync = with;
+  const auto plain = epochal_synchronize_incremental(model, views, boundaries);
   const auto instrumented =
-      epochal_synchronize_incremental(model, views, boundaries, with);
+      epochal_synchronize_incremental(model, views, boundaries, with_epochs);
   ASSERT_EQ(plain.size(), instrumented.size());
   for (std::size_t k = 0; k < plain.size(); ++k)
     expect_same(plain[k].sync, instrumented[k].sync,

@@ -5,7 +5,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "delaymodel/constraint.hpp"
-#include "delaymodel/numeric_mls.hpp"
+#include "oracles/numeric_mls.hpp"
 
 namespace cs {
 namespace {

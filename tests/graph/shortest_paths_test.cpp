@@ -4,8 +4,8 @@
 #include "common/rng.hpp"
 #include "graph/bellman_ford.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/floyd_warshall.hpp"
 #include "graph/johnson.hpp"
+#include "oracles/floyd_warshall.hpp"
 
 namespace cs {
 namespace {

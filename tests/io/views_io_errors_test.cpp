@@ -113,6 +113,35 @@ TEST(ViewsIoErrors, EmptyStreamReportsLineOne) {
   EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
 }
 
+TEST(ViewsIoErrors, ProcessorCountOverLimitNamesLineAndToken) {
+  // One View per processor is allocated up front, so the count is bounded
+  // before anything is sized from it.
+  const std::string msg =
+      views_error("chronosync-views v1\nprocessors 99999999999999\n");
+  EXPECT_NE(msg.find("line 2: count '99999999999999' exceeds the limit " +
+                     std::to_string(kMaxProcessors)),
+            std::string::npos)
+      << msg;
+}
+
+TEST(ViewsIoErrors, HugeEventCountNamesLineAndToken) {
+  // A view's declared event count sizes nothing: the events present are
+  // read, and the shortfall is reported against the declaring line.
+  const std::string msg = views_error(
+      "chronosync-views v1\nprocessors 1\nview 0 99999999999999\nS 0\n");
+  EXPECT_NE(msg.find("line 5"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("view 0 declares 99999999999999 events at line 3"),
+            std::string::npos)
+      << msg;
+  const std::string next = views_error(
+      "chronosync-views v1\nprocessors 2\nview 0 99999999999999\nS 0\n"
+      "view 1 1\nS 0\n");
+  EXPECT_NE(next.find("line 5: event count mismatch: view 0 declares "
+                      "99999999999999 events at line 3"),
+            std::string::npos)
+      << next;
+}
+
 TEST(ModelIoErrors, EndpointOutOfRangeNamesEndpointAndCount) {
   const std::string msg = model_error(
       "chronosync-model v1\nprocessors 2\nlink 0 5 none\n");
@@ -142,6 +171,14 @@ TEST(ModelIoErrors, UnknownKindIsNamed) {
   const std::string msg = model_error(
       "chronosync-model v1\nprocessors 2\nlink 0 1 warp 3\n");
   EXPECT_NE(msg.find("unknown link kind 'warp'"), std::string::npos) << msg;
+}
+
+TEST(ModelIoErrors, ProcessorCountOverLimitNamesLineAndToken) {
+  const std::string msg =
+      model_error("chronosync-model v1\nprocessors 99999999999999\n");
+  EXPECT_NE(msg.find("line 2: count '99999999999999' exceeds the limit"),
+            std::string::npos)
+      << msg;
 }
 
 TEST(ModelIoErrors, BadProcessorCountNamesToken) {

@@ -1,4 +1,4 @@
-#include "core/adversary.hpp"
+#include "oracles/adversary.hpp"
 
 #include <cassert>
 

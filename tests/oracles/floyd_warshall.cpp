@@ -1,4 +1,4 @@
-#include "graph/floyd_warshall.hpp"
+#include "oracles/floyd_warshall.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "delaymodel/numeric_mls.hpp"
+#include "oracles/numeric_mls.hpp"
 
 #include "common/error.hpp"
 

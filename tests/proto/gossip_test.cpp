@@ -1,4 +1,4 @@
-#include "proto/gossip.hpp"
+#include "support/gossip.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,9 +4,9 @@
 #include "core/precision.hpp"
 #include "core/synchronizer.hpp"
 #include "proto/beacon.hpp"
-#include "proto/flood.hpp"
 #include "proto/ping_pong.hpp"
 #include "support/builders.hpp"
+#include "support/flood.hpp"
 
 namespace cs {
 namespace {

@@ -1,4 +1,4 @@
-#include "proto/flood.hpp"
+#include "support/flood.hpp"
 
 #include <set>
 

@@ -65,6 +65,36 @@ TEST(CsLabCli, UsageErrorsExitTwo) {
   EXPECT_EQ(run("gen").exit_code, 2);
 }
 
+TEST(CsLabCli, SubcommandsRefuseFlagsTheyIgnore) {
+  // Every flag a subcommand accepts is one its code reads: a flag another
+  // subcommand reads is refused before any work, naming flag and command.
+  const std::string out = tmp("refused.out");
+  struct Case {
+    std::string sub, args, flag;
+  };
+  const Case cases[] = {
+      {"gen spec", "--preset smoke --threads 3", "--threads"},
+      {"gen spec", "--preset smoke --seed 4", "--seed"},
+      {"gen topo", "\"ring 5\" --task-threads 9 --json " + out,
+       "--task-threads"},
+      {"gen topo", "\"ring 5\" --preset smoke", "--preset"},
+      {"gen topo", "\"ring 5\" --quiet", "--quiet"},
+      {"run", "--preset smoke --out " + out, "--out"},
+      {"run", "--preset smoke --mix \"bounds 0.002 0.01\"", "--mix"},
+      {"report", out + " --json " + out, "--json"},
+      {"report", out + " --check", "--check"},
+  };
+  for (const Case& c : cases) {
+    const RunResult r = run(c.sub + " " + c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.sub << " " << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown flag '" + c.flag + "' for " + c.sub),
+              std::string::npos)
+        << r.output;
+  }
+  std::ifstream is(out);
+  EXPECT_FALSE(is.good()) << "a refused command wrote " << out;
+}
+
 TEST(CsLabCli, RuntimeErrorsExitThree) {
   EXPECT_EQ(run("run /nonexistent/campaign.spec").exit_code, 3);
   EXPECT_EQ(run("run --preset no-such-preset").exit_code, 3);

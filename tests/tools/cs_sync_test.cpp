@@ -239,6 +239,11 @@ TEST(CsSyncCli, SubcommandsRefuseFlagsTheyIgnore) {
       {"live", "--n 4 --epochs 1 --match strict", "--match"},
       {"sync", "a.views b.model --seed 3", "--seed"},
       {"simulate", out + " --rerecord " + out, "--rerecord"},
+      // One epoch driver and one APSP: no subcommand reads either choice.
+      {"simulate", out + " --rebuild", "--rebuild"},
+      {"simulate", out + " --apsp johnson", "--apsp"},
+      {"sync", "a.views b.model --apsp johnson", "--apsp"},
+      {"live", "--n 4 --epochs 1 --apsp johnson", "--apsp"},
   };
   for (const Case& c : cases) {
     const RunResult r = run(c.sub + " " + c.args);

@@ -91,5 +91,25 @@ TEST(GoldenDriftingTrace, NonUnitRatesSurviveTheRoundTrip) {
   EXPECT_TRUE(diff_traces(trace, back).empty());
 }
 
+// replay() always attaches a metrics sink to the epoch driver; the goldens
+// must come out of the driver bit for bit without one too (results never
+// depend on whether instrumentation is attached).
+TEST(GoldenTraceSinkIdentity, EpochDriverWithoutMetricsReproducesTheRecording) {
+  for (const char* name : {"golden_clean.trace", "golden_faulty.trace",
+                           "golden_windowed.trace", "golden_drifting.trace"}) {
+    const Trace trace = load_trace_file(data_path(name));
+    ASSERT_FALSE(trace.recorded.empty()) << name;
+    EpochOptions options = trace.plan.options;
+    options.sync.metrics = nullptr;
+    const std::vector<EpochOutcome> epochs = epochal_synchronize_incremental(
+        trace.model(), views_from_trace(trace), trace.plan.boundaries,
+        options);
+    ASSERT_EQ(epochs.size(), trace.recorded.size()) << name;
+    for (std::size_t k = 0; k < epochs.size(); ++k)
+      EXPECT_EQ(epoch_record(epochs[k]), trace.recorded[k])
+          << name << " epoch " << k;
+  }
+}
+
 }  // namespace
 }  // namespace cs

@@ -180,23 +180,6 @@ TEST(Replay, DiffCapRespected) {
   EXPECT_NE(diffs.back().find("suppressed"), std::string::npos);
 }
 
-TEST(Replay, RebuildPipelineAlsoReplays) {
-  SystemModel model = test::bounded_model(make_ring(4), 0.002, 0.010);
-  SimOptions opts;
-  opts.seed = 5;
-  opts.start_offsets.assign(4, Duration{0.0});
-  ReplayPlan plan;
-  plan.incremental = false;
-  plan.boundaries = {ClockTime{0.8}, ClockTime{1.2}};
-
-  const Recorded r =
-      record(model, make_ping_pong(PingPongParams{}), opts, plan);
-  EXPECT_FALSE(r.trace.plan.incremental);
-  const ReplayResult replayed = replay(r.trace);
-  EXPECT_TRUE(replayed.matches_recording())
-      << (replayed.divergences.empty() ? "" : replayed.divergences.front());
-}
-
 TEST(Replay, EventForUnknownProcessorRejected) {
   Recorded r = record_clean();
   r.trace.events.front().a = 99;

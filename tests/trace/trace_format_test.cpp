@@ -9,6 +9,7 @@
 #include <bit>
 #include <cfloat>
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "common/error.hpp"
 #include "io/views_io.hpp"
 #include "support/builders.hpp"
+#include "trace/replay.hpp"
 #include "trace/writer.hpp"
 
 namespace cs {
@@ -34,9 +36,7 @@ Trace exhaustive_trace() {
   save_model(model_os, test::bounded_model(make_ring(3), 0.002, 0.01));
   t.model_text = model_os.str();
 
-  t.plan.incremental = false;
   t.plan.options.sync.root = 1;
-  t.plan.options.sync.apsp = ApspAlgorithm::kFloydWarshall;
   t.plan.options.sync.match = MatchPolicy::kDropOrphans;
   t.plan.options.window = Duration{0.75};
   t.plan.options.staleness.carry_forward = true;
@@ -142,9 +142,7 @@ TEST(TraceFormat, RoundTripExact) {
   EXPECT_EQ(back.starts, t.starts);
   EXPECT_EQ(back.rates, t.rates);
   EXPECT_EQ(back.model_text, t.model_text);
-  EXPECT_EQ(back.plan.incremental, t.plan.incremental);
   EXPECT_EQ(back.plan.options.sync.root, t.plan.options.sync.root);
-  EXPECT_EQ(back.plan.options.sync.apsp, t.plan.options.sync.apsp);
   EXPECT_EQ(back.plan.options.sync.match, t.plan.options.sync.match);
   EXPECT_EQ(back.plan.options.window.sec, t.plan.options.window.sec);
   EXPECT_EQ(back.plan.options.staleness.carry_forward,
@@ -261,6 +259,40 @@ TEST(TraceFormat, EmbeddedModelParses) {
   const SystemModel model = t.model();
   EXPECT_EQ(model.processor_count(), 3u);
   EXPECT_EQ(model.topology().link_count(), 3u);
+}
+
+TEST(TraceFormat, LegacyPipelineAndApspLinesReplayBitForBit) {
+  // Recorders that offered a choice of epoch driver and APSP algorithm
+  // wrote `pipeline incremental` and `apsp ...` plan lines.  The one epoch
+  // driver is the incremental one and never read the APSP choice, so such
+  // a trace loads with both lines ignored and replays bit for bit.
+  for (const char* name : {"golden_faulty.trace", "golden_windowed.trace"}) {
+    std::ifstream file(std::string(CS_TEST_DATA_DIR) + "/" + name);
+    std::ostringstream disk;
+    disk << file.rdbuf();
+    std::string doc = disk.str();
+    const std::size_t root = doc.find("\nroot ");
+    const std::size_t match = doc.find("\nmatch ");
+    ASSERT_NE(root, std::string::npos) << name;
+    ASSERT_NE(match, std::string::npos) << name;
+    doc.insert(match + 1, "apsp floyd-warshall\n");
+    doc.insert(root + 1, "pipeline incremental\n");
+
+    std::istringstream is(doc);
+    const Trace legacy = load_trace(is);
+    std::stringstream resaved;
+    save_trace(resaved, legacy);
+    EXPECT_EQ(resaved.str(), disk.str()) << name;
+
+    const ReplayResult result = replay(legacy);
+    EXPECT_TRUE(result.matches_recording())
+        << name << ": "
+        << (result.divergences.empty() ? "" : result.divergences.front());
+    ASSERT_EQ(result.epochs.size(), legacy.recorded.size()) << name;
+    for (std::size_t k = 0; k < result.epochs.size(); ++k)
+      EXPECT_EQ(epoch_record(result.epochs[k]), legacy.recorded[k])
+          << name << " epoch " << k;
+  }
 }
 
 std::string trace_error(const std::string& doc) {
@@ -381,6 +413,45 @@ TEST(TraceFormatErrors, CycleMeanPlanLineNamesTheReRecord) {
       << msg;
   EXPECT_NE(msg.find("'cycle-mean karp'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("re-recorded"), std::string::npos) << msg;
+}
+
+TEST(TraceFormatErrors, RebuildPipelineLineNamesTheReRecord) {
+  // Traces recorded with the retired from-scratch epoch driver differ from
+  // the one driver in the last ulps; they are refused with the line and
+  // record named, never replayed into a divergence.
+  std::stringstream ss;
+  save_trace(ss, exhaustive_trace());
+  std::string doc = ss.str();
+  EXPECT_EQ(doc.find("\npipeline "), std::string::npos);
+  ASSERT_NE(doc.find("\nroot "), std::string::npos);
+  const std::size_t pos = doc.find("\nroot ") + 1;
+  doc.insert(pos, "pipeline rebuild\n");
+  const std::size_t line =
+      1 + static_cast<std::size_t>(
+              std::count(doc.begin(), doc.begin() + pos, '\n'));
+  const std::string msg = trace_error(doc);
+  EXPECT_NE(msg.find("line " + std::to_string(line) + ":"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("'pipeline rebuild'"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("re-recorded"), std::string::npos) << msg;
+}
+
+TEST(TraceFormatErrors, ProcessorCountOverLimitNamesLineAndToken) {
+  // The header's count sizes per-processor state before any per-processor
+  // line arrives: past the documented limit it is refused, not allocated.
+  const std::string msg =
+      trace_error(mutate_line(2, "processors 99999999999999"));
+  EXPECT_NE(msg.find("line 2: count '99999999999999' exceeds the limit " +
+                     std::to_string(kMaxProcessors)),
+            std::string::npos)
+      << msg;
+
+  // The limit itself is accepted (this trace then fails on its
+  // three-processor outcome rows instead).
+  const std::string at_limit = trace_error(
+      mutate_line(2, "processors " + std::to_string(kMaxProcessors)));
+  EXPECT_EQ(at_limit.find("exceeds the limit"), std::string::npos)
+      << at_limit;
 }
 
 TEST(TraceFormatErrors, MissingModelRejected) {

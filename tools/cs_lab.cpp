@@ -7,17 +7,19 @@
 //   cs_lab gen topo "<family params>" [flags]        write a model file
 //   cs_lab report <report.csv>                       re-render a CSV report
 //
-// Every subcommand takes --help (exit 0); --version prints the release.
+// Each subcommand accepts only the flags its code reads (a foreign flag is
+// a usage error).  Every subcommand takes --help (exit 0); --version
+// prints the release.
 // Exit codes: 0 success, 1 validation failure (--check), 2 usage error,
 // 3 runtime error.  See docs/LAB.md for the spec grammar, the seed
 // derivation contract and the report schemas.
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,71 +31,18 @@
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace cs;
+using namespace cs::cli;
 using namespace cs::lab;
 
 constexpr int kExitOk = 0;
 constexpr int kExitCheckFailed = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
-
-struct UsageError {
-  std::string message;
-};
-
-[[noreturn]] void usage_fail(const std::string& message) {
-  throw UsageError{message};
-}
-
-/// Hand-rolled `--flag value` / `--switch` parser (mirrors cs_sync).
-class Args {
- public:
-  Args(int argc, char** argv, std::set<std::string> valued,
-       std::set<std::string> switches)
-      : valued_(std::move(valued)), switches_(std::move(switches)) {
-    for (int i = 0; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(arg);
-        continue;
-      }
-      if (switches_.count(arg) != 0) {
-        set_switches_.insert(arg);
-        continue;
-      }
-      if (valued_.count(arg) == 0) usage_fail("unknown flag '" + arg + "'");
-      if (i + 1 >= argc) usage_fail("flag '" + arg + "' needs a value");
-      values_[arg] = argv[++i];
-    }
-  }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-  bool on(const std::string& name) const {
-    return set_switches_.count(name) != 0;
-  }
-  bool has(const std::string& name) const { return values_.count(name) != 0; }
-  std::string get(const std::string& name,
-                  const std::string& fallback = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
- private:
-  std::set<std::string> valued_, switches_, set_switches_;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
-};
-
-std::uint64_t parse_u64_flag(const std::string& flag,
-                             const std::string& text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
-    usage_fail("flag '" + flag + "': '" + text + "' is not an integer");
-  return v;
-}
 
 void write_file_or_fail(const std::string& path, const std::string& body) {
   std::ofstream os(path);
@@ -104,13 +53,13 @@ void write_file_or_fail(const std::string& path, const std::string& body) {
 int cmd_run(const Args& args) {
   CampaignSpec spec;
   if (args.has("--preset")) {
-    if (args.positional().size() > 1)
+    if (!args.positional().empty())
       usage_fail("run takes a spec file or --preset, not both");
     spec = preset_campaign(args.get("--preset"));
   } else {
-    if (args.positional().size() != 2)
+    if (args.positional().size() != 1)
       usage_fail("usage: cs_lab run <spec-file | --preset name> [flags]");
-    spec = load_campaign_file(args.positional()[1]);
+    spec = load_campaign_file(args.positional()[0]);
   }
   if (args.has("--seed"))
     spec.seed = parse_u64_flag("--seed", args.get("--seed"));
@@ -177,62 +126,59 @@ int cmd_run(const Args& args) {
   return kExitOk;
 }
 
-int cmd_gen(const Args& args) {
-  if (args.positional().size() < 2)
-    usage_fail("usage: cs_lab gen <spec|topo> ...");
-  const std::string& what = args.positional()[1];
-  if (what == "spec") {
-    const CampaignSpec spec = preset_campaign(args.get("--preset", "smoke"));
-    std::ostringstream os;
-    save_campaign(os, spec);
-    if (args.has("--out")) {
-      write_file_or_fail(args.get("--out"), os.str());
-      std::cout << "wrote " << args.get("--out") << "\n";
-    } else {
-      std::cout << os.str();
-    }
-    return kExitOk;
+int cmd_gen_spec(const Args& args) {
+  if (!args.positional().empty())
+    usage_fail("usage: cs_lab gen spec [--preset name] [--out FILE]");
+  const CampaignSpec spec = preset_campaign(args.get("--preset", "smoke"));
+  std::ostringstream os;
+  save_campaign(os, spec);
+  if (args.has("--out")) {
+    write_file_or_fail(args.get("--out"), os.str());
+    std::cout << "wrote " << args.get("--out") << "\n";
+  } else {
+    std::cout << os.str();
   }
-  if (what == "topo") {
-    if (args.positional().size() != 3)
-      usage_fail("usage: cs_lab gen topo \"<family params>\" [flags]");
-    const TopoSpec topo_spec = parse_topo_spec(args.positional()[2]);
-    Rng rng(parse_u64_flag("--seed", args.get("--seed", "1")));
-    const Topology topo = make_topology(topo_spec, rng);
-    SystemModel model(topo);
-    MixSpec mix;
-    // Default mix mirrors the smoke preset; --mix overrides with the
-    // campaign-spec grammar, e.g. --mix "alternating 0.002 0.01 0.004".
-    mix.kind = "bounds";
-    mix.lb = 0.002;
-    mix.ub = 0.01;
-    if (args.has("--mix")) {
-      // Reuse the campaign-spec parser for the mix grammar via a one-line
-      // synthetic spec.
-      std::istringstream is("chronosync-campaign v1\nseeds 1\ntopology ring 3\n"
-                            "mix " + args.get("--mix") + "\n");
-      mix = load_campaign(is).mixes.at(0);
-    }
-    apply_mix(model, mix);
-    std::ostringstream os;
-    save_model(os, model);
-    if (args.has("--out")) {
-      write_file_or_fail(args.get("--out"), os.str());
-      std::cout << "wrote " << args.get("--out") << " (" << topo.node_count
-                << " nodes, " << topo.link_count() << " links)\n";
-    } else {
-      std::cout << os.str();
-    }
-    return kExitOk;
+  return kExitOk;
+}
+
+int cmd_gen_topo(const Args& args) {
+  if (args.positional().size() != 1)
+    usage_fail("usage: cs_lab gen topo \"<family params>\" [flags]");
+  const TopoSpec topo_spec = parse_topo_spec(args.positional()[0]);
+  Rng rng(parse_u64_flag("--seed", args.get("--seed", "1")));
+  const Topology topo = make_topology(topo_spec, rng);
+  SystemModel model(topo);
+  MixSpec mix;
+  // Default mix mirrors the smoke preset; --mix overrides with the
+  // campaign-spec grammar, e.g. --mix "alternating 0.002 0.01 0.004".
+  mix.kind = "bounds";
+  mix.lb = 0.002;
+  mix.ub = 0.01;
+  if (args.has("--mix")) {
+    // Reuse the campaign-spec parser for the mix grammar via a one-line
+    // synthetic spec.
+    std::istringstream is("chronosync-campaign v1\nseeds 1\ntopology ring 3\n"
+                          "mix " + args.get("--mix") + "\n");
+    mix = load_campaign(is).mixes.at(0);
   }
-  usage_fail("unknown gen target '" + what + "' (spec or topo)");
+  apply_mix(model, mix);
+  std::ostringstream os;
+  save_model(os, model);
+  if (args.has("--out")) {
+    write_file_or_fail(args.get("--out"), os.str());
+    std::cout << "wrote " << args.get("--out") << " (" << topo.node_count
+              << " nodes, " << topo.link_count() << " links)\n";
+  } else {
+    std::cout << os.str();
+  }
+  return kExitOk;
 }
 
 int cmd_report(const Args& args) {
-  if (args.positional().size() != 2)
+  if (args.positional().size() != 1)
     usage_fail("usage: cs_lab report <report.csv>");
-  std::ifstream is(args.positional()[1]);
-  if (!is) fail("cannot open " + args.positional()[1]);
+  std::ifstream is(args.positional()[0]);
+  if (!is) fail("cannot open " + args.positional()[0]);
   // Re-render the deterministic CSV as the usual fixed-width table.
   std::string line;
   if (!std::getline(is, line)) fail("empty report");
@@ -281,6 +227,7 @@ void print_usage(std::ostream& os) {
      << "  cs_lab gen topo \"<family params>\" [--seed S] [--mix \"...\"]\n"
      << "                 [--out FILE]\n"
      << "  cs_lab report <report.csv>\n\n"
+     << "A flag its subcommand does not read is a usage error (exit 2).\n"
      << "Topology families:";
   for (const std::string& f : topo_families()) os << ' ' << f;
   os << "\nSee docs/LAB.md for the campaign grammar and report schemas.\n";
@@ -289,29 +236,55 @@ void print_usage(std::ostream& os) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    const Args args(argc - 1, argv + 1,
-                    {"--threads", "--task-threads", "--seed", "--seeds",
-                     "--json", "--csv", "--preset", "--out", "--mix"},
-                    {"--check", "--no-timing", "--quiet", "--help",
-                     "--version"});
-    if (args.on("--version")) {
+  // --version and --help are requests, not flag errors: honor them
+  // anywhere, before flag validation.
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--version") == 0) {
       std::cout << "cs_lab " << kVersion << "\n";
       return kExitOk;
     }
-    if (args.on("--help") || args.positional().empty()) {
+    if (std::strcmp(argv[i], "--help") == 0) {
       print_usage(std::cout);
       return kExitOk;
     }
-    const std::string& cmd = args.positional()[0];
-    if (cmd == "help") {
-      print_usage(std::cout);
-      return kExitOk;
+  }
+  if (argc < 2 || std::strcmp(argv[1], "help") == 0) {
+    print_usage(std::cout);
+    return kExitOk;
+  }
+  try {
+    // Each subcommand accepts exactly the flags its code reads; `gen spec`
+    // and `gen topo` are two subcommands.
+    struct Subcommand {
+      int (*run)(const Args&);
+      FlagSet flags;
+    };
+    const std::map<std::string, Subcommand> subcommands{
+        {"run",
+         {cmd_run,
+          {{"--preset", "--threads", "--task-threads", "--seed", "--seeds",
+            "--json", "--csv"},
+           {"--check", "--no-timing", "--quiet"}}}},
+        {"gen spec", {cmd_gen_spec, {{"--preset", "--out"}, {}}}},
+        {"gen topo", {cmd_gen_topo, {{"--seed", "--mix", "--out"}, {}}}},
+        {"report", {cmd_report, {{}, {}}}},
+    };
+    std::string command = argv[1];
+    int first = 2;
+    if (command == "gen") {
+      if (argc < 3) usage_fail("usage: cs_lab gen <spec|topo> ...");
+      command += ' ';
+      command += argv[2];
+      first = 3;
+      if (subcommands.count(command) == 0)
+        usage_fail("unknown gen target '" + std::string(argv[2]) +
+                   "' (spec or topo)");
     }
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "report") return cmd_report(args);
-    usage_fail("unknown subcommand '" + cmd + "'");
+    const auto it = subcommands.find(command);
+    if (it == subcommands.end())
+      usage_fail("unknown subcommand '" + command + "'");
+    return it->second.run(
+        Args(command, argc - first, argv + first, it->second.flags));
   } catch (const UsageError& e) {
     std::cerr << "usage error: " << e.message << "\n\n";
     print_usage(std::cerr);

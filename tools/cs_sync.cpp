@@ -20,7 +20,6 @@
 #include <iostream>
 #include <limits>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,96 +43,17 @@
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace cs;
+using namespace cs::cli;
 
 constexpr int kExitOk = 0;
 constexpr int kExitDivergence = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
-
-struct UsageError {
-  std::string message;
-};
-
-[[noreturn]] void usage_fail(const std::string& message) {
-  throw UsageError{message};
-}
-
-// ---------------------------------------------------------------------------
-// Flag parsing
-
-/// The flags one subcommand's code reads.
-struct FlagSet {
-  std::set<std::string> valued;
-  std::set<std::string> switches;
-};
-
-/// Hand-rolled `--flag value` / `--switch` parser.  Flags may appear in any
-/// order, interleaved with positionals; a flag outside the subcommand's
-/// set is a usage error naming both, so no flag is silently ignored.
-class Args {
- public:
-  Args(const std::string& command, int argc, char** argv,
-       const FlagSet& flags) {
-    for (int i = 0; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(arg);
-        continue;
-      }
-      if (flags.switches.count(arg) != 0) {
-        set_switches_.insert(arg);
-        continue;
-      }
-      if (flags.valued.count(arg) == 0)
-        usage_fail("unknown flag '" + arg + "' for " + command);
-      if (i + 1 >= argc) usage_fail("flag '" + arg + "' needs a value");
-      values_[arg] = argv[++i];
-    }
-  }
-
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  bool on(const std::string& name) const {
-    return set_switches_.count(name) != 0;
-  }
-
-  bool has(const std::string& name) const {
-    return values_.count(name) != 0;
-  }
-
-  std::string get(const std::string& name,
-                  const std::string& fallback = "") const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
- private:
-  std::set<std::string> set_switches_;
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
-};
-
-double parse_double_flag(const std::string& flag, const std::string& text) {
-  if (text == "inf") return std::numeric_limits<double>::infinity();
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    usage_fail("flag '" + flag + "': '" + text + "' is not a number");
-  return v;
-}
-
-std::uint64_t parse_u64_flag(const std::string& flag,
-                             const std::string& text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || text[0] == '-')
-    usage_fail("flag '" + flag + "': '" + text +
-               "' is not a non-negative integer");
-  return v;
-}
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
@@ -205,14 +125,6 @@ SyncOptions sync_options_from(const Args& args) {
   if (args.has("--root"))
     opts.root = static_cast<NodeId>(
         parse_u64_flag("--root", args.get("--root")));
-  const std::string apsp = args.get("--apsp", "johnson");
-  if (apsp == "johnson")
-    opts.apsp = ApspAlgorithm::kJohnson;
-  else if (apsp == "floyd-warshall")
-    opts.apsp = ApspAlgorithm::kFloydWarshall;
-  else
-    usage_fail("--apsp must be johnson or floyd-warshall, got '" + apsp +
-               "'");
   const std::string match = args.get("--match", "strict");
   if (match == "strict")
     opts.match = MatchPolicy::kStrict;
@@ -227,7 +139,6 @@ SyncOptions sync_options_from(const Args& args) {
 ReplayPlan plan_from(const Args& args) {
   ReplayPlan plan;
   plan.options.sync = sync_options_from(args);
-  plan.incremental = !args.on("--rebuild");
   if (args.has("--window"))
     plan.options.window =
         Duration{parse_double_flag("--window", args.get("--window"))};
@@ -688,7 +599,6 @@ int cmd_live(const Args& args) {
       Duration{parse_double_flag("--grace", args.get("--grace", "0"))};
   config.agent.leader = static_cast<ProcessorId>(
       parse_u64_flag("--leader", args.get("--leader", "0")));
-  config.agent.sync = sync_options_from(args);
   config.drift.rho =
       parse_double_flag("--drift-ppm", args.get("--drift-ppm", "0")) * 1e-6;
   config.drift.slack =
@@ -815,8 +725,8 @@ subcommands:
 common flags:
   --json                   machine-readable output (every subcommand)
 
-pipeline flags (simulate, sync; live takes --apsp only):
-  --root N --apsp johnson|floyd-warshall --match strict|drop-orphans
+pipeline flags (simulate, sync):
+  --root N --match strict|drop-orphans
 
 simulate flags:
   --topology ring|line|star|complete|... --n N --lower S --upper S
@@ -830,7 +740,7 @@ simulate flags:
   --down a:b:from:until    link outage window
   --crash pid:from[:until] processor crash window
   --boundaries t1,t2,...   epoch schedule (default: one epoch over all)
-  --window S --carry --widen S --max-age N --rebuild
+  --window S --carry --widen S --max-age N
   --views FILE             also dump the views interchange file
 
 replay flags (replay, diff and metrics rerun the trace's recorded plan):
@@ -883,7 +793,7 @@ int main(int argc, char** argv) {
     // Each subcommand accepts exactly the flags its code reads.  replay,
     // diff and metrics rerun a trace's recorded plan, so they take none of
     // the pipeline flags; live's leader always roots at --leader and drops
-    // orphans, so it takes --apsp but not --root or --match.
+    // orphans, so it takes neither --root nor --match.
     struct Subcommand {
       int (*run)(const Args&);
       FlagSet flags;
@@ -891,25 +801,24 @@ int main(int argc, char** argv) {
     const std::map<std::string, Subcommand> subcommands{
         {"simulate",
          {cmd_simulate,
-          {{"--root", "--apsp", "--match", "--topology", "--n", "--lower",
-            "--upper", "--model", "--proto", "--rounds", "--spacing",
-            "--warmup", "--period", "--count", "--seed", "--skew",
-            "--delay-scale", "--drift", "--drop", "--dup", "--spike",
-            "--spike-mag", "--fault-seed", "--down", "--crash",
-            "--boundaries", "--window", "--widen", "--max-age", "--views"},
-           {"--json", "--carry", "--rebuild"}}}},
-        {"sync",
-         {cmd_sync, {{"--root", "--apsp", "--match", "--zones"}, {"--json"}}}},
+          {{"--root", "--match", "--topology", "--n", "--lower", "--upper",
+            "--model", "--proto", "--rounds", "--spacing", "--warmup",
+            "--period", "--count", "--seed", "--skew", "--delay-scale",
+            "--drift", "--drop", "--dup", "--spike", "--spike-mag",
+            "--fault-seed", "--down", "--crash", "--boundaries", "--window",
+            "--widen", "--max-age", "--views"},
+           {"--json", "--carry"}}}},
+        {"sync", {cmd_sync, {{"--root", "--match", "--zones"}, {"--json"}}}},
         {"replay", {cmd_replay, {{"--rerecord"}, {"--json"}}}},
         {"diff", {cmd_diff, {{"--max-reports"}, {"--json"}}}},
         {"metrics", {cmd_metrics, {{}, {"--json"}}}},
         {"live",
          {cmd_live,
-          {{"--apsp", "--topology", "--n", "--lower", "--upper", "--model",
-            "--seed", "--skew", "--transport", "--delay-scale", "--drop",
-            "--trace", "--deadline", "--warmup", "--spacing", "--rounds",
-            "--report-at", "--period", "--epochs", "--grace", "--leader",
-            "--drift-ppm", "--drift-slack", "--zones"},
+          {{"--topology", "--n", "--lower", "--upper", "--model", "--seed",
+            "--skew", "--transport", "--delay-scale", "--drop", "--trace",
+            "--deadline", "--warmup", "--spacing", "--rounds", "--report-at",
+            "--period", "--epochs", "--grace", "--leader", "--drift-ppm",
+            "--drift-slack", "--zones"},
            {"--json", "--no-check"}}}},
     };
     const auto it = subcommands.find(command);
