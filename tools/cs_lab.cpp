@@ -276,9 +276,6 @@ int main(int argc, char** argv) {
       command += ' ';
       command += argv[2];
       first = 3;
-      if (subcommands.count(command) == 0)
-        usage_fail("unknown gen target '" + std::string(argv[2]) +
-                   "' (spec or topo)");
     }
     const auto it = subcommands.find(command);
     if (it == subcommands.end())
