@@ -9,7 +9,7 @@ namespace cs {
 std::vector<double> cristian_corrections(const SystemModel& model,
                                          std::span<const View> views,
                                          ProcessorId root) {
-  const LinkStats stats = LinkStats::estimated_from_views(views);
+  const LinkStats stats = LinkStats::estimated_from_views(model, views);
   const DeltaEstimator delta = [&](ProcessorId p, ProcessorId q) {
     const DirectedStats& pq = stats.direction(p, q);
     const DirectedStats& qp = stats.direction(q, p);

@@ -18,7 +18,7 @@ SyncOutcome hmm_one_shot(const SystemModel& model, std::span<const View> views,
     if (it == first.end() || m.send_clock < it->second.send_clock)
       first.insert_or_assign(k, m);
   }
-  LinkStats stats;
+  LinkStats stats(model);
   for (const auto& [k, m] : first)
     stats.add(m.from, m.to, m.estimated_delay().sec);
 

@@ -12,7 +12,7 @@ std::vector<double> lundelius_lynch_corrections(const SystemModel& model,
     throw InvalidAssumption(
         "lundelius_lynch baseline requires a complete topology");
 
-  const LinkStats stats = LinkStats::estimated_from_views(views);
+  const LinkStats stats = LinkStats::estimated_from_views(model, views);
   std::vector<double> x(n, 0.0);
   for (ProcessorId p = 0; p < n; ++p) {
     double sum = 0.0;

@@ -21,7 +21,7 @@ double midpoint_delta(const SystemModel& model, const LinkStats& stats,
 std::vector<double> tree_midpoint_corrections(const SystemModel& model,
                                               std::span<const View> views,
                                               ProcessorId root) {
-  const LinkStats stats = LinkStats::estimated_from_views(views);
+  const LinkStats stats = LinkStats::estimated_from_views(model, views);
   const DeltaEstimator delta = [&](ProcessorId p, ProcessorId q) {
     return midpoint_delta(model, stats, p, q);
   };

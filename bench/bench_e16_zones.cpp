@@ -65,8 +65,8 @@ void run_fabric(BenchJson& json, Table& table, const Fabric& f,
   const auto mls_start = Clock::now();
   SyncOptions opts;
   opts.threads = threads;
-  const Digraph mls = local_shift_estimates(model, inst.views,
-                                            MatchPolicy::kStrict, opts.threads);
+  const Digraph mls =
+      ingest_views(model, inst.views, MatchPolicy::kStrict, opts.threads).mls;
   const double mls_seconds = seconds_since(mls_start);
 
   // Dense reference: the instance optimum Ã^max (only where n permits).

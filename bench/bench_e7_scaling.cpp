@@ -9,6 +9,10 @@
 // Expected shape: Karp ~8x per doubling of n (cubic); Johnson much flatter
 // than Floyd-Warshall on rings; synchronize() dominated by Karp at scale.
 //
+// BM_PairMessages* time message pairing on the trace-replay workload's
+// instance: the flat send index against the hash-map reference pairing
+// (docs/PERF.md §7).
+//
 // The former hand-rolled BM_EndToEndSynchronize / BM_SimulatorPingPong
 // loops are replaced by a lab campaign (simulate + synchronize + validate
 // per task, fanned out over the work-stealing pool), reported per topology
@@ -16,10 +20,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "lab/campaign.hpp"
 #include "lab/stats.hpp"
 #include "oracles/cycle_mean.hpp"
 #include "oracles/floyd_warshall.hpp"
+#include "oracles/pairing.hpp"
 #include "support.hpp"
 
 namespace {
@@ -92,6 +99,37 @@ void BM_FloydWarshallOnRing(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(floyd_warshall(g));
 }
 BENCHMARK(BM_FloydWarshallOnRing)->RangeMultiplier(2)->Range(16, 128)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Complete-n under [1 ms, 50 ms] probed by 8 ping-pong rounds, the
+/// trace-replay workload's instance: n = 32 gives 31,744 send and receive
+/// events, about its largest epoch cut.
+const std::vector<View>& pingpong_views(std::size_t n) {
+  static std::map<std::size_t, std::vector<View>> cache;
+  auto it = cache.find(n);
+  if (it == cache.end())
+    it = cache.emplace(n, probe(bounded_model(make_complete(n), 0.001, 0.050),
+                                1, 0.5, 8).views).first;
+  return it->second;
+}
+
+// Message pairing: the flat open-addressing send index against the
+// hash-map reference it replaced (tests/oracles/pairing.hpp).
+void BM_PairMessages(benchmark::State& state) {
+  const auto& views = pingpong_views(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(pair_messages(views, MatchPolicy::kDropOrphans));
+}
+BENCHMARK(BM_PairMessages)->RangeMultiplier(2)->Range(8, 32)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_PairMessagesReference(benchmark::State& state) {
+  const auto& views = pingpong_views(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        reference_pair_messages(views, MatchPolicy::kDropOrphans));
+}
+BENCHMARK(BM_PairMessagesReference)->RangeMultiplier(2)->Range(8, 32)
     ->Unit(benchmark::kMicrosecond);
 
 /// End-to-end scaling through the campaign engine: one cell per topology

@@ -6,21 +6,20 @@
 #include "common/error.hpp"
 
 namespace cs {
+namespace {
 
-LinkCoverage link_coverage(const SystemModel& model,
-                           const LinkTraffic& traffic) {
-  return link_coverage(model, traffic, std::vector<bool>{});
-}
-
-LinkCoverage link_coverage(const SystemModel& model,
-                           const LinkTraffic& traffic,
-                           const std::vector<bool>& link_down) {
+/// Two entries per topology link (a -> b, then b -> a);
+/// `observations(d, p, q)` counts direction slot d, which is p -> q.  An
+/// empty `link_down` marks no link down.
+template <class Count>
+LinkCoverage census(const SystemModel& model,
+                    const std::vector<bool>& link_down, Count observations) {
   if (!link_down.empty() &&
       link_down.size() != model.topology().link_count())
     throw InvalidExecution(
         "link_coverage: need one down flag per topology link");
   LinkCoverage cov;
-  cov.directions.reserve(2 * model.topology().link_count());
+  cov.directions.reserve(model.direction_count());
   for (std::size_t i = 0; i < model.topology().link_count(); ++i) {
     const auto [a, b] = model.topology().links[i];
     const bool down = !link_down.empty() && link_down[i];
@@ -28,7 +27,7 @@ LinkCoverage link_coverage(const SystemModel& model,
       DirectedCoverage d;
       d.from = p;
       d.to = q;
-      d.observations = traffic.direction(p, q).size();
+      d.observations = observations(cov.directions.size(), p, q);
       d.absent = down;
       if (down) {
         ++cov.absent_directions;
@@ -40,6 +39,31 @@ LinkCoverage link_coverage(const SystemModel& model,
   }
   cov.total_directions = cov.directions.size();
   return cov;
+}
+
+}  // namespace
+
+LinkCoverage link_coverage(const SystemModel& model,
+                           const LinkTraffic& traffic) {
+  return link_coverage(model, traffic, std::vector<bool>{});
+}
+
+LinkCoverage link_coverage(const SystemModel& model,
+                           const LinkTraffic& traffic,
+                           const std::vector<bool>& link_down) {
+  return census(model, link_down,
+                [&](std::size_t, ProcessorId p, ProcessorId q) {
+                  return traffic.direction(p, q).size();
+                });
+}
+
+LinkCoverage link_coverage(const SystemModel& model, const LinkStats& stats) {
+  if (!stats.laid_out_for(model))
+    throw InvalidAssumption(
+        "link_coverage: stats are laid out for another topology");
+  return census(model, {}, [&](std::size_t d, ProcessorId, ProcessorId) {
+    return stats.at(d).count;
+  });
 }
 
 void MlsCarry::reset() {

@@ -77,6 +77,10 @@ struct LinkCoverage {
 LinkCoverage link_coverage(const SystemModel& model,
                            const LinkTraffic& traffic);
 
+/// The same census read off per-direction counts (the extremes path of
+/// ingest_views); equal to the traffic census of the same pairs.
+LinkCoverage link_coverage(const SystemModel& model, const LinkStats& stats);
+
 /// Churn-aware census: `link_down` flags (topology link order, e.g. from
 /// cs::byz::links_down_at) mark links dark at the census instant; both
 /// directions of a dark link are counted absent rather than observed,

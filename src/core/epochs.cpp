@@ -58,10 +58,11 @@ std::vector<EpochOutcome> epochal_synchronize_incremental(
           Metrics::scoped(metrics, "stage.local_estimates_seconds");
       // Epoch cuts are taken at clock boundaries, so orphan receives are
       // normal; under fault injection so are duplicate re-deliveries.
-      const LinkTraffic traffic = LinkTraffic::estimated_from_views(
-          cuts, MatchPolicy::kDropOrphans, &epoch.pairing);
-      epoch.coverage = link_coverage(model, traffic);
-      mls = mls_graph_from_traffic(model, traffic);
+      LocalEstimates est =
+          ingest_views(model, cuts, MatchPolicy::kDropOrphans);
+      mls = std::move(est.mls);
+      epoch.coverage = std::move(est.coverage);
+      epoch.pairing = est.pairing;
     }
     metrics_increment(metrics, "degraded.orphan_receives",
                       epoch.pairing.orphan_receives);

@@ -57,8 +57,7 @@ SyncOutcome synchronize(const SystemModel& model, std::span<const View> views,
                                 options.metrics);
       mls = mls_graph_from_traffic(model, traffic, options.threads);
     } else {
-      mls =
-          local_shift_estimates(model, views, options.match, options.threads);
+      mls = ingest_views(model, views, options.match, options.threads).mls;
     }
     if (options.robust.quorum > 0)
       mls = quorum_validated_mls(mls, options.robust, options.metrics);

@@ -33,8 +33,9 @@ struct SyncOptions {
   Metrics* metrics{nullptr};
 
   /// Worker threads for the independently-parallel pipeline stages: the
-  /// per-link m̃ls estimator folds and, on unbounded instances, the
-  /// per-finiteness-component SHIFTS solves.  1 = serial (default); 0 =
+  /// per-link m̃ls folds of the traffic path (models with a windowed-bias
+  /// link, or robust trimming; the extremes path is one serial pass) and,
+  /// on unbounded instances, the per-finiteness-component SHIFTS solves.  1 = serial (default); 0 =
   /// hardware concurrency.  Results are byte-identical for any value — the
   /// parallel stages only shard work whose writes are disjoint (see
   /// local_estimates.hpp and ShiftsOptions::threads).
@@ -88,7 +89,7 @@ SyncOutcome synchronize(const SystemModel& model, std::span<const View> views,
                         const SyncOptions& options = {});
 
 /// Pipeline tail — GLOBAL ESTIMATES + SHIFTS — over an already-built m̃ls
-/// graph.  synchronize() is local_shift_estimates() followed by this; the
+/// graph.  synchronize() is ingest_views() followed by this; the
 /// epoch driver calls it (on zoned plans) after degraded-mode edge
 /// carry-forward (core/degraded.hpp) has interposed between estimation and
 /// the closure.

@@ -339,7 +339,7 @@ ZonedOutcome synchronize_zoned(const SystemModel& model,
   {
     auto timer =
         Metrics::scoped(options.metrics, "stage.local_estimates_seconds");
-    mls = local_shift_estimates(model, views, options.match, options.threads);
+    mls = ingest_views(model, views, options.match, options.threads).mls;
   }
   return synchronize_zoned_mls(std::move(mls), plan, options);
 }

@@ -144,7 +144,7 @@ struct ZonedOutcome {
 ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan,
                                    const SyncOptions& options = {});
 
-/// Views front-end: local_shift_estimates + synchronize_zoned_mls.
+/// Views front-end: ingest_views + synchronize_zoned_mls.
 ZonedOutcome synchronize_zoned(const SystemModel& model,
                                std::span<const View> views,
                                const ZonePlan& plan,

@@ -1,33 +1,48 @@
 #include "delaymodel/assignment.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace cs {
 
-SystemModel::SystemModel(Topology topo) : topo_(std::move(topo)) {
-  for (auto [a, b] : topo_.links)
-    constraints_[key(a, b)] = make_no_bounds(a, b);
-}
-
-bool SystemModel::has_link(ProcessorId a, ProcessorId b) const {
-  return constraints_.contains(key(a, b));
+SystemModel::SystemModel(Topology topo)
+    : topo_(std::move(topo)), directions_(2 * topo_.link_count()) {
+  const std::size_t n = topo_.node_count;
+  constraints_.reserve(topo_.link_count());
+  for (std::size_t i = 0; i < topo_.link_count(); ++i) {
+    const auto [a, b] = topo_.links[i];
+    const auto refuse = [&](const std::string& why) {
+      throw InvalidAssumption("topology link " + std::to_string(a) + "-" +
+                              std::to_string(b) + " " + why);
+    };
+    if (a == b) refuse("is a self-link");
+    if (a >= n || b >= n)
+      refuse("names a processor >= the node count " + std::to_string(n));
+    const auto slot = static_cast<std::uint32_t>(2 * i);
+    if (directions_.insert(direction_key(a, b), slot) != FlatIndex::kAbsent)
+      refuse("is listed twice");
+    directions_.insert(direction_key(b, a), slot + 1);
+    constraints_.push_back(make_no_bounds(a, b));
+  }
 }
 
 void SystemModel::set_constraint(std::unique_ptr<LinkConstraint> c) {
-  const auto k = key(c->a(), c->b());
-  const auto it = constraints_.find(k);
-  if (it == constraints_.end())
+  const std::size_t d = direction(c->a(), c->b());
+  if (d == kNoDirection)
     throw InvalidAssumption("constraint endpoints are not a topology link");
-  it->second = std::move(c);
+  std::unique_ptr<LinkConstraint>& slot = constraints_[d / 2];
+  if (!slot->extreme_sufficient()) --series_links_;
+  if (!c->extreme_sufficient()) ++series_links_;
+  slot = std::move(c);
 }
 
 const LinkConstraint& SystemModel::constraint(ProcessorId a,
                                               ProcessorId b) const {
-  const auto it = constraints_.find(key(a, b));
-  if (it == constraints_.end()) throw InvalidAssumption("no such link");
-  return *it->second;
+  const std::size_t d = direction(a, b);
+  if (d == kNoDirection) throw InvalidAssumption("no such link");
+  return *constraints_[d / 2];
 }
 
 LinkDelays SystemModel::link_delays(const Execution& exec, ProcessorId a,
@@ -45,18 +60,20 @@ LinkDelays SystemModel::link_delays(const Execution& exec, ProcessorId a,
 
 bool SystemModel::admissible(const Execution& exec) const {
   // Bucket timed delays per link once rather than re-scanning per link.
-  std::unordered_map<std::uint64_t, TimedLinkDelays> delays;
+  std::vector<TimedLinkDelays> delays(topo_.link_count());
   for (const TracedMessage& t : trace_messages(exec)) {
-    const ProcessorId a = std::min(t.msg.from, t.msg.to);
-    const ProcessorId b = std::max(t.msg.from, t.msg.to);
-    if (!has_link(a, b))
+    const std::size_t d = direction(t.msg.from, t.msg.to);
+    if (d == kNoDirection)
       throw InvalidExecution("message sent between non-adjacent processors");
-    TimedLinkDelays& d = delays[key(a, b)];
-    (t.msg.from == a ? d.a_to_b : d.b_to_a)
+    TimedLinkDelays& link = delays[d / 2];
+    (d % 2 == 0 ? link.a_to_b : link.b_to_a)
         .push_back(TimedObs{t.send_real.sec, t.delay().sec});
   }
-  for (const auto& [k, d] : delays)
-    if (!constraints_.at(k)->admits_timed(d)) return false;
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    const TimedLinkDelays& d = delays[i];
+    if (d.a_to_b.empty() && d.b_to_a.empty()) continue;
+    if (!constraints_[i]->admits_timed(d)) return false;
+  }
   return true;
 }
 

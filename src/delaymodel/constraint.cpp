@@ -172,6 +172,12 @@ ExtReal CompositeConstraint::mls_timed(ProcessorId p,
   return m;
 }
 
+bool CompositeConstraint::extreme_sufficient() const {
+  return std::all_of(parts_.begin(), parts_.end(), [](const auto& p) {
+    return p->extreme_sufficient();
+  });
+}
+
 std::string CompositeConstraint::describe() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < parts_.size(); ++i) {

@@ -72,6 +72,14 @@ class LinkConstraint {
   virtual ExtReal mls_timed(ProcessorId p, std::span<const TimedObs> pq,
                             std::span<const TimedObs> qp) const;
 
+  /// True when mls_timed() depends on its spans only through the
+  /// per-direction extremes, i.e. equals mls() over their DirectedStats
+  /// folds (Lemmas 6.2 and 6.5).  The bounds, lower-bound, no-bounds and
+  /// bias models are; a model that overrides mls_timed() to read send
+  /// times (WindowedBiasConstraint) must return false, so the pipeline
+  /// keeps its full observation series.
+  virtual bool extreme_sufficient() const { return true; }
+
   /// Human-readable description for experiment tables.
   virtual std::string describe() const = 0;
 
@@ -138,6 +146,8 @@ class CompositeConstraint final : public LinkConstraint {
   bool admits_timed(const TimedLinkDelays& delays) const override;
   ExtReal mls_timed(ProcessorId p, std::span<const TimedObs> pq,
                     std::span<const TimedObs> qp) const override;
+  /// True only if every part is.
+  bool extreme_sufficient() const override;
   std::string describe() const override;
 
  private:

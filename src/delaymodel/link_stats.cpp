@@ -1,36 +1,52 @@
 #include "delaymodel/link_stats.hpp"
 
+#include "delaymodel/assignment.hpp"
+
 namespace cs {
+
+LinkStats::LinkStats(const SystemModel& model)
+    : model_(&model), stats_(model.direction_count()) {}
+
+bool LinkStats::laid_out_for(const SystemModel& model) const {
+  return model_ == &model ||
+         model_->topology().links == model.topology().links;
+}
 
 const DirectedStats& LinkStats::direction(ProcessorId p,
                                           ProcessorId q) const {
   static const DirectedStats kEmpty;
-  const auto it = stats_.find(key(p, q));
-  return it == stats_.end() ? kEmpty : it->second;
+  const std::size_t d = model_->direction(p, q);
+  return d == SystemModel::kNoDirection ? kEmpty : stats_[d];
 }
 
 void LinkStats::add(ProcessorId p, ProcessorId q, double delay) {
-  stats_[key(p, q)].add(delay);
+  const std::size_t d = model_->direction(p, q);
+  if (d != SystemModel::kNoDirection) stats_[d].add(delay);
 }
 
 void LinkStats::add_stats(ProcessorId p, ProcessorId q,
                           const DirectedStats& s) {
-  DirectedStats& dst = stats_[key(p, q)];
+  const std::size_t d = model_->direction(p, q);
+  if (d == SystemModel::kNoDirection) return;
+  DirectedStats& dst = stats_[d];
   dst.dmin = min(dst.dmin, s.dmin);
   dst.dmax = max(dst.dmax, s.dmax);
   dst.count += s.count;
 }
 
-LinkStats LinkStats::estimated_from_views(std::span<const View> views,
-                                          MatchPolicy policy) {
-  LinkStats s;
-  for (const PairedMessage& m : pair_messages(views, policy))
+LinkStats LinkStats::estimated_from_views(const SystemModel& model,
+                                          std::span<const View> views,
+                                          MatchPolicy policy,
+                                          PairingStats* stats) {
+  LinkStats s(model);
+  for (const PairedMessage& m : pair_messages(views, policy, stats))
     s.add(m.from, m.to, m.estimated_delay().sec);
   return s;
 }
 
-LinkStats LinkStats::actual_from_execution(const Execution& exec) {
-  LinkStats s;
+LinkStats LinkStats::actual_from_execution(const SystemModel& model,
+                                           const Execution& exec) {
+  LinkStats s(model);
   for (const TracedMessage& t : trace_messages(exec))
     s.add(t.msg.from, t.msg.to, t.delay().sec);
   return s;

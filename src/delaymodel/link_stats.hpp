@@ -6,11 +6,20 @@
 // that sufficient statistic.  It can be built from views (estimated delays,
 // what the pipeline uses) or from an execution (actual delays, used for
 // admissibility checking and test oracles).
+//
+// Layout: one flat array of DirectedStats in the model's direction order
+// (SystemModel::direction — link i's a -> b at 2i, b -> a at 2i + 1), so
+// the m̃ls fold reads it by slot and the coverage census reads its counts.
+// Only topology links have slots.  LinkTraffic, which keeps every
+// observation with its send time, stays a per-direction map: it serves the
+// models and passes that need the full series (windowed bias, MAD
+// trimming, the drift OLS, SyncAgent's delta reports).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/extreal.hpp"
 #include "model/execution.hpp"
@@ -32,31 +41,49 @@ struct DirectedStats {
   }
 };
 
+class SystemModel;  // delaymodel/assignment.hpp
+
 class LinkStats {
  public:
-  /// Stats for direction p -> q; a zero-message DirectedStats if none.
+  /// Zero-message stats for every link direction of `model`, which must
+  /// outlive this object.
+  explicit LinkStats(const SystemModel& model);
+
+  /// True when the slots are `model`'s directions: the stats were built
+  /// for it, or for a model with the same link list.
+  bool laid_out_for(const SystemModel& model) const;
+
+  /// Stats for direction p -> q; a zero-message DirectedStats if none or
+  /// if {p, q} is not a link.
   const DirectedStats& direction(ProcessorId p, ProcessorId q) const;
 
+  /// Stats of direction slot `d` < model().direction_count().
+  const DirectedStats& at(std::size_t d) const { return stats_[d]; }
+
+  /// Fold one delay into direction p -> q.  A pair that is not a link has
+  /// no slot and is skipped: no m̃ls edge could read it.
   void add(ProcessorId p, ProcessorId q, double delay);
 
   /// Install pre-aggregated extremes for one direction (merging with any
-  /// existing entry).  Used by the drift estimator, whose detrended
-  /// extremes are not expressible as a stream of raw add() calls.
+  /// existing entry; non-links skipped as in add()).  Used by the drift
+  /// estimator, whose detrended extremes are not expressible as a stream
+  /// of raw add() calls, and by the multihost leader's reports.
   void add_stats(ProcessorId p, ProcessorId q, const DirectedStats& s);
 
-  /// Estimated delays d̃(m) from views only (Lemma 6.1) — the pipeline path.
+  /// Estimated delays d̃(m) from views only (Lemma 6.1) — the pipeline
+  /// path.  `stats`, when non-null, receives the pairing tallies.
   static LinkStats estimated_from_views(
-      std::span<const View> views,
-      MatchPolicy policy = MatchPolicy::kStrict);
+      const SystemModel& model, std::span<const View> views,
+      MatchPolicy policy = MatchPolicy::kStrict,
+      PairingStats* stats = nullptr);
 
   /// Actual delays d(m) from ground truth — observer-only path.
-  static LinkStats actual_from_execution(const Execution& exec);
+  static LinkStats actual_from_execution(const SystemModel& model,
+                                         const Execution& exec);
 
  private:
-  static std::uint64_t key(ProcessorId p, ProcessorId q) {
-    return (static_cast<std::uint64_t>(p) << 32) | q;
-  }
-  std::unordered_map<std::uint64_t, DirectedStats> stats_;
+  const SystemModel* model_;
+  std::vector<DirectedStats> stats_;  // direction order
 };
 
 /// A delay observation with its send time.  Two flavors share the type:

@@ -47,6 +47,8 @@ class WindowedBiasConstraint final : public LinkConstraint {
   bool admits_timed(const TimedLinkDelays& delays) const override;
   ExtReal mls_timed(ProcessorId p, std::span<const TimedObs> pq,
                     std::span<const TimedObs> qp) const override;
+  /// False: m̃ls reads send times, not just the extremes.
+  bool extreme_sufficient() const override { return false; }
 
   std::string describe() const override;
 

@@ -129,7 +129,7 @@ LinkStats drift_adjusted_link_stats(const SystemModel& model,
                                     const LinkTraffic& traffic,
                                     const DriftWindowOptions& options,
                                     DriftFitSummary* summary) {
-  LinkStats out;
+  LinkStats out(model);
   for (auto [a, b] : model.topology().links) {
     const ProcessorId ends[2][2] = {{a, b}, {b, a}};
     for (const auto& [p, q] : ends) {

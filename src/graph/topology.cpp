@@ -1,8 +1,8 @@
 #include "graph/topology.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -46,18 +46,23 @@ Topology make_line(std::size_t n) {
 }
 
 Topology make_ring(std::size_t n) {
-  assert(n >= 3);
+  // Generator arguments come from command lines and spec grammars, so
+  // they are checked in every build, not asserted.
+  if (n < 3) fail("ring needs n >= 3, got n = " + std::to_string(n));
   Topology t = make_line(n);
   t.links.emplace_back(0, static_cast<NodeId>(n - 1));
   return t;
 }
 
 Topology make_circulant(std::size_t n, std::span<const std::size_t> strides) {
-  assert(n >= 3);
+  if (n < 3) fail("circulant needs n >= 3, got n = " + std::to_string(n));
+  for (std::size_t s : strides)
+    if (s < 1 || s >= n)
+      fail("circulant stride " + std::to_string(s) +
+           " is outside [1, n) for n = " + std::to_string(n));
   Topology t{n, {}};
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t s : strides) {
-      assert(s >= 1 && 2 * s <= n);
       const auto a = static_cast<NodeId>(i);
       const auto b = static_cast<NodeId>((i + s) % n);
       const std::pair<NodeId, NodeId> e{std::min(a, b), std::max(a, b)};
@@ -70,7 +75,7 @@ Topology make_circulant(std::size_t n, std::span<const std::size_t> strides) {
 }
 
 Topology make_star(std::size_t n) {
-  assert(n >= 2);
+  if (n < 2) fail("star needs n >= 2, got n = " + std::to_string(n));
   Topology t{n, {}};
   for (std::size_t i = 1; i < n; ++i)
     t.links.emplace_back(0, static_cast<NodeId>(i));
@@ -86,7 +91,9 @@ Topology make_complete(std::size_t n) {
 }
 
 Topology make_grid(std::size_t width, std::size_t height) {
-  assert(width >= 1 && height >= 1);
+  if (width < 1 || height < 1)
+    fail("grid needs both sides >= 1, got " + std::to_string(width) + "x" +
+         std::to_string(height));
   Topology t{width * height, {}};
   auto id = [width](std::size_t x, std::size_t y) {
     return static_cast<NodeId>(y * width + x);
@@ -111,7 +118,9 @@ Topology make_random_tree(std::size_t n, Rng& rng) {
 }
 
 Topology make_connected_gnp(std::size_t n, double p, Rng& rng) {
-  assert(p >= 0.0 && p <= 1.0);
+  if (!(p >= 0.0 && p <= 1.0))
+    fail("gnp needs 0 <= p <= 1, got p = " + std::to_string(p) +
+         " for n = " + std::to_string(n));
   Topology t = make_random_tree(n, rng);
   std::set<std::pair<NodeId, NodeId>> have(t.links.begin(), t.links.end());
   for (std::size_t a = 0; a < n; ++a) {
@@ -128,7 +137,9 @@ Topology make_connected_gnp(std::size_t n, double p, Rng& rng) {
 }
 
 Topology make_wan(std::size_t n, std::size_t hubs, Rng& rng) {
-  assert(hubs >= 3 && hubs <= n);
+  if (hubs < 3 || hubs > n)
+    fail("wan needs 3 <= hubs <= n, got " + std::to_string(hubs) +
+         " hubs for n = " + std::to_string(n));
   Topology t = make_ring(hubs);
   t.node_count = n;
   for (std::size_t i = hubs; i < n; ++i) {

@@ -1,9 +1,9 @@
 #include "model/pairing.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 #include "common/error.hpp"
+#include "common/flat_index.hpp"
 
 namespace cs {
 namespace {
@@ -14,61 +14,67 @@ struct SendRecord {
   ClockTime when;
 };
 
-std::unordered_map<MessageId, SendRecord> index_sends(
-    std::span<const View> views) {
-  std::unordered_map<MessageId, SendRecord> sends;
-  for (const View& v : views) {
-    for (const ViewEvent& e : v.events) {
-      if (e.kind != EventKind::kSend) continue;
-      const auto [it, inserted] =
-          sends.emplace(e.msg, SendRecord{v.pid, e.peer, e.when});
-      if (!inserted)
-        throw InvalidExecution("duplicate message id among sends");
-      (void)it;
-    }
-  }
-  return sends;
-}
-
 }  // namespace
 
 std::vector<PairedMessage> pair_messages(std::span<const View> views,
                                          MatchPolicy policy,
                                          PairingStats* stats) {
-  const auto sends = index_sends(views);
+  std::size_t send_count = 0, receive_count = 0;
+  for (const View& v : views)
+    for (const ViewEvent& e : v.events) {
+      send_count += e.kind == EventKind::kSend;
+      receive_count += e.kind == EventKind::kReceive;
+    }
+
+  // The send array in view order, indexed by message id.  FlatIndex
+  // refuses a capacity whose slot numbers would not fit its values.
+  FlatIndex index(send_count);
+  std::vector<SendRecord> sends;
+  sends.reserve(send_count);
+  for (const View& v : views)
+    for (const ViewEvent& e : v.events) {
+      if (e.kind != EventKind::kSend) continue;
+      if (index.insert(e.msg, static_cast<std::uint32_t>(sends.size())) !=
+          FlatIndex::kAbsent)
+        throw InvalidExecution("duplicate message id among sends");
+      sends.push_back(SendRecord{v.pid, e.peer, e.when});
+    }
+
   std::vector<PairedMessage> out;
-  std::unordered_set<MessageId> received;
+  out.reserve(std::min(send_count, receive_count));
+  std::vector<bool> received(sends.size(), false);  // by send slot
   for (const View& v : views) {
     for (const ViewEvent& e : v.events) {
       if (e.kind != EventKind::kReceive) continue;
-      const auto it = sends.find(e.msg);
-      if (it == sends.end()) {
+      const std::uint32_t i = index.find(e.msg);
+      if (i == FlatIndex::kAbsent) {
         if (policy == MatchPolicy::kDropOrphans) {
           if (stats != nullptr) ++stats->orphan_receives;
           continue;
         }
         throw InvalidExecution("receive event with no matching send");
       }
-      const SendRecord& s = it->second;
+      const SendRecord& s = sends[i];
       if (s.to != v.pid || s.from != e.peer)
         throw InvalidExecution("message endpoints disagree between views");
       // Exactly one PairedMessage per send: a re-received id is a faulty
       // network's duplicate.  Strict pairing rejects it; orphan-dropping
       // pairing keeps the earliest copy (events are in per-processor time
       // order, and both receives live in the same receiver's view).
-      if (!received.insert(e.msg).second) {
+      if (received[i]) {
         if (policy == MatchPolicy::kDropOrphans) {
           if (stats != nullptr) ++stats->duplicate_receives;
           continue;
         }
         throw InvalidExecution("message received twice");
       }
+      received[i] = true;
       out.push_back(PairedMessage{e.msg, s.from, v.pid, s.when, e.when});
     }
   }
   if (stats != nullptr) {
     stats->paired = out.size();
-    stats->unreceived_sends = sends.size() - received.size();
+    stats->unreceived_sends = sends.size() - out.size();
   }
   return out;
 }

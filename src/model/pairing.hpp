@@ -65,7 +65,16 @@ struct PairingStats {
 /// metadata.  Under kDropOrphans, sendless receives are skipped and only
 /// the earliest receive of a re-delivered id is paired (the other
 /// malformations still throw).  `stats`, when non-null, receives the
-/// kept/skipped tallies.
+/// kept/skipped tallies: orphan and duplicate counts are added to what it
+/// holds, `paired` and `unreceived_sends` are overwritten.
+///
+/// Output is in receive order: views in the given order, each view's
+/// receives in event order.  One pass over the views first collects every
+/// send (any duplicate id among them throws before a receive is looked
+/// at) into a send array indexed by a flat open-addressing table keyed by
+/// message id (common/flat_index.hpp); a second pass looks each receive up
+/// there and marks its send received by array slot.  Any u64 is a valid
+/// message id.
 std::vector<PairedMessage> pair_messages(
     std::span<const View> views, MatchPolicy policy = MatchPolicy::kStrict,
     PairingStats* stats = nullptr);

@@ -65,7 +65,7 @@ bool decode_extremes(std::span<const double> data,
 SyncOutcome synchronize_from_extremes(const SystemModel& model,
                                       std::span<const ReportedExtremes> reports,
                                       ProcessorId root) {
-  LinkStats stats;
+  LinkStats stats(model);
   for (const ReportedExtremes& report : reports)
     for (const DirectionExtremes& d : report.dirs) {
       DirectedStats ds;

@@ -197,7 +197,11 @@ ReplayResult replay(const Trace& trace) {
                 std::to_string(model.processor_count()) +
                 " processors, trace header says " +
                 std::to_string(trace.processors));
-  result.views = views_from_trace(trace);
+  {
+    auto timer =
+        Metrics::scoped(&result.metrics, "stage.ingest.views_seconds");
+    result.views = views_from_trace(trace);
+  }
 
   // The "fault.*" counters are a pure function of the event records — tally
   // them exactly as the injector/simulator would have.

@@ -30,7 +30,9 @@ struct ReplayResult {
   std::vector<View> views;           ///< rebuilt from the event records
   std::vector<EpochOutcome> epochs;  ///< recomputed by the epoch pipeline
   Metrics metrics;  ///< fault.* tallied from events + recomputed pipeline
-                    ///< counters; compare with the recording via counters
+                    ///< counters; compare with the recording via counters.
+                    ///< Series also time the views rebuild
+                    ///< (stage.ingest.views_seconds) and the epochs.
   std::vector<std::string> divergences;
 
   bool matches_recording() const { return divergences.empty(); }

@@ -65,7 +65,7 @@ TEST(Midpoint, DeltaIsIntervalMidpoint) {
   const Execution e = test::two_node_execution(0.0, 0.0, {0.6}, {0.2});
   SystemModel model = test::bounded_model(make_line(2), 0.0, 1.0);
   const auto views = e.views();
-  const LinkStats stats = LinkStats::estimated_from_views(views);
+  const LinkStats stats = LinkStats::estimated_from_views(model, views);
   EXPECT_NEAR(midpoint_delta(model, stats, 0, 1), 0.2, 1e-12);
   EXPECT_NEAR(midpoint_delta(model, stats, 1, 0), -0.2, 1e-12);
 }
@@ -75,7 +75,7 @@ TEST(Midpoint, FallbackWhenOneSideUnbounded) {
   const Execution e = test::two_node_execution(0.0, 0.0, {0.5}, {});
   SystemModel model = test::lower_bound_model(make_line(2), 0.1);
   const auto views = e.views();
-  const LinkStats stats = LinkStats::estimated_from_views(views);
+  const LinkStats stats = LinkStats::estimated_from_views(model, views);
   // m̃ls(0,1) = 0.5 - 0.1 = 0.4 finite; m̃ls(1,0) infinite.
   EXPECT_NEAR(midpoint_delta(model, stats, 0, 1), 0.4, 1e-12);
 }

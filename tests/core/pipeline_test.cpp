@@ -27,7 +27,7 @@ TEST(LocalEstimates, TwoNodeBoundsFormula) {
   const Execution e = test::two_node_execution(s0, s1, {0.2, 0.4}, {0.5});
   SystemModel model = test::bounded_model(make_line(2), lb, ub);
   const auto views = e.views();
-  const Digraph mls = local_shift_estimates(model, views);
+  const Digraph mls = ingest_views(model, views).mls;
 
   // m̃ls(0,1) = min(ub - d̃max(1,0), d̃min(0,1) - lb)
   // d̃(0->1) = d + s0 - s1 = d - 1; d̃(1->0) = d + 1.
@@ -43,7 +43,7 @@ TEST(LocalEstimates, ActualVsEstimatedDifferByStartSkew) {
   const Execution e = test::two_node_execution(s0, s1, {0.3, 0.7}, {0.4});
   SystemModel model = test::bounded_model(make_line(2), 0.1, 1.0);
   const auto views = e.views();
-  const Digraph est = local_shift_estimates(model, views);
+  const Digraph est = ingest_views(model, views).mls;
   const Digraph act = local_shifts_actual(model, e);
   EXPECT_NEAR(edge_weight(est, 0, 1), edge_weight(act, 0, 1) + s0 - s1,
               1e-12);
@@ -57,7 +57,7 @@ TEST(GlobalEstimates, PathSumsOnALine) {
   SystemModel model = test::bounded_model(make_line(3), 0.01, 0.05);
   const SimResult r = test::run_ping_pong(model, 21, 0.4);
   const auto views = r.execution.views();
-  const Digraph mls = local_shift_estimates(model, views);
+  const Digraph mls = ingest_views(model, views).mls;
   const DistanceMatrix ms = global_shift_estimates(mls);
   EXPECT_NEAR(ms.at(0, 2),
               edge_weight(mls, 0, 1) + edge_weight(mls, 1, 2), 1e-9);
@@ -71,7 +71,7 @@ TEST(GlobalEstimates, JohnsonAndFloydAgree) {
   SystemModel model = test::bounded_model(make_ring(6), 0.01, 0.05);
   const SimResult r = test::run_ping_pong(model, 22, 0.4);
   const auto views = r.execution.views();
-  const Digraph mls = local_shift_estimates(model, views);
+  const Digraph mls = ingest_views(model, views).mls;
   const DistanceMatrix a = global_shift_estimates(mls);
   const auto b = floyd_warshall(slack_relaxed_mls(mls));
   ASSERT_TRUE(b.has_value());
@@ -86,7 +86,7 @@ TEST(GlobalEstimates, InconsistentViewsThrow) {
   const Execution e = test::two_node_execution(0.0, 0.0, {0.9}, {0.9});
   SystemModel model = test::bounded_model(make_line(2), 0.1, 0.3);
   const auto views = e.views();
-  const Digraph mls = local_shift_estimates(model, views);
+  const Digraph mls = ingest_views(model, views).mls;
   EXPECT_THROW(global_shift_estimates(mls), InvalidAssumption);
 }
 

@@ -52,8 +52,10 @@ struct Instance {
 ///     cycles are critical, with equal means.
 Instance random_instance(std::uint64_t seed) {
   Rng rng(seed);
-  const std::size_t k = 2 + rng.uniform_int(63);
   const auto shape = static_cast<Shape>(seed % 3);
+  // Sizes up to 64; a ring needs at least 3 nodes, the other shapes 2.
+  const std::size_t k_min = shape == Shape::kRing ? 3 : 2;
+  const std::size_t k = k_min + rng.uniform_int(65 - k_min);
   auto variant = static_cast<Variant>((seed / 3) % 3);
   if (variant == Variant::kTiedCycles && (shape != Shape::kComplete || k < 4))
     variant = Variant::kBounded;

@@ -95,7 +95,7 @@ TEST(WindowedPipeline, EstimateConsistency) {
   SystemModel model{make_line(2)};
   model.set_constraint(make_windowed_bias(0, 1, 0.05, 5.0));
 
-  const Digraph mls_est = local_shift_estimates(model, views);
+  const Digraph mls_est = ingest_views(model, views).mls;
   const Digraph mls_act = local_shifts_actual(model, exec);
   const DistanceMatrix est = global_shift_estimates(mls_est);
   const DistanceMatrix act = global_shift_estimates(mls_act);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "support/builders.hpp"
 
@@ -27,6 +29,42 @@ TEST(SystemModel, SetConstraintReplacesAndValidates) {
 TEST(SystemModel, ConstraintThrowsOnNonLink) {
   const SystemModel m{make_line(3)};
   EXPECT_THROW(m.constraint(0, 2), InvalidAssumption);
+}
+
+TEST(SystemModel, RejectsSelfDuplicateAndOutOfRangeLinks) {
+  // The direction index holds exactly one slot pair per link.
+  const auto refused = [](Topology topo, const std::string& why) {
+    try {
+      const SystemModel m{std::move(topo)};
+      ADD_FAILURE() << "accepted a topology whose " << why;
+    } catch (const InvalidAssumption& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  refused(Topology{3, {{1, 1}}}, "link 1-1 is a self-link");
+  refused(Topology{3, {{0, 1}, {1, 2}, {0, 1}}}, "link 0-1 is listed twice");
+  refused(Topology{3, {{0, 1}, {1, 0}}}, "link 1-0 is listed twice");
+  refused(Topology{3, {{0, 1}, {1, 3}}},
+          "link 1-3 names a processor >= the node count 3");
+  // What make_ring(2) used to build with its assert compiled out.
+  refused(Topology{2, {{0, 1}, {0, 1}}}, "link 0-1 is listed twice");
+}
+
+TEST(SystemModel, DirectionIndexFollowsLinkOrder) {
+  const SystemModel m{make_ring(5)};
+  const auto& links = m.topology().links;
+  ASSERT_EQ(m.direction_count(), 2 * links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const auto [a, b] = links[i];
+    EXPECT_EQ(m.direction(a, b), 2 * i);
+    EXPECT_EQ(m.direction(b, a), 2 * i + 1);
+    EXPECT_EQ(&m.link_constraint(i), &m.constraint(b, a));
+  }
+  EXPECT_EQ(m.direction(0, 2), SystemModel::kNoDirection);
+  EXPECT_EQ(m.direction(3, 3), SystemModel::kNoDirection);
+  EXPECT_EQ(m.direction(7, 0), SystemModel::kNoDirection);
+  EXPECT_EQ(m.direction(0xffffffffu, 0xffffffffu), SystemModel::kNoDirection);
 }
 
 TEST(SystemModel, AdmissibleChecksEveryLink) {

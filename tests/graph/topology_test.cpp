@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include <set>
 
 #include "common/error.hpp"
@@ -97,6 +99,46 @@ TEST(Topology, SingleAndTwoNodeEdgeCases) {
 TEST(Topology, DisconnectedDetected) {
   Topology t{4, {{0, 1}, {2, 3}}};
   EXPECT_FALSE(t.connected());
+}
+
+TEST(Topology, GeneratorsRejectBadSizesInEveryBuild) {
+  // Command lines and spec grammars reach these; the checks are not
+  // asserts, so Release builds refuse the same arguments.
+  const auto refused = [](auto make, const std::string& why) {
+    try {
+      make();
+      ADD_FAILURE() << "accepted: " << why;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  Rng rng(4);
+  const std::size_t unit[] = {1};
+  const std::size_t too_long[] = {1, 4};
+  const std::size_t zero[] = {0};
+  refused([] { return make_ring(0); }, "ring needs n >= 3, got n = 0");
+  refused([] { return make_ring(2); }, "ring needs n >= 3, got n = 2");
+  refused([] { return make_star(1); }, "star needs n >= 2, got n = 1");
+  refused([] { return make_grid(0, 3); }, "grid needs both sides >= 1, got 0x3");
+  refused([&] { return make_circulant(2, unit); },
+          "circulant needs n >= 3, got n = 2");
+  refused([&] { return make_circulant(4, too_long); },
+          "circulant stride 4 is outside [1, n) for n = 4");
+  refused([&] { return make_circulant(5, zero); },
+          "circulant stride 0 is outside [1, n) for n = 5");
+  refused([&] { return make_connected_gnp(5, 1.5, rng); },
+          "gnp needs 0 <= p <= 1");
+  refused([&] { return make_wan(2, 3, rng); },
+          "wan needs 3 <= hubs <= n, got 3 hubs for n = 2");
+  refused([&] { return make_wan(10, 2, rng); },
+          "wan needs 3 <= hubs <= n, got 2 hubs for n = 10");
+  refused([&] { return make_named("ring", 2, rng); }, "ring needs n >= 3");
+  refused([&] { return make_named("wan", 2, rng); }, "wan needs 3 <= hubs");
+  // A stride and its complement give the same chords: strides {1, 2, 3}
+  // on four nodes are K4, as before the checks.
+  const std::size_t lab[] = {1, 2, 3};
+  EXPECT_EQ(make_circulant(4, lab).link_count(), 6u);
 }
 
 TEST(Topology, MakeNamed) {

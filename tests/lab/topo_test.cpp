@@ -189,6 +189,12 @@ TEST(TopoSpec, RejectsInvalidParameters) {
   EXPECT_THROW(make_topology(parse_topo_spec("er 10 1.5"), rng), Error);
   EXPECT_THROW(make_topology(parse_topo_spec("toroid 0x3"), rng), Error);
   EXPECT_THROW(make_topology(parse_topo_spec("ba 10 0"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("ring 0"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("ring 2"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("star 1"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("circulant 3"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("grid 0x3"), rng), Error);
+  EXPECT_THROW(make_topology(parse_topo_spec("wan 2"), rng), Error);
 }
 
 TEST(TopoSpec, FamilyListCoversTheGrammar) {

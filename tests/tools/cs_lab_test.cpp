@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "io/views_io.hpp"
 #include "lab/spec.hpp"
@@ -99,6 +100,18 @@ TEST(CsLabCli, RuntimeErrorsExitThree) {
   EXPECT_EQ(run("run /nonexistent/campaign.spec").exit_code, 3);
   EXPECT_EQ(run("run --preset no-such-preset").exit_code, 3);
   EXPECT_EQ(run("report /nonexistent/report.csv").exit_code, 3);
+  // Generator sizes are checked in every build (a Release build once wrote
+  // `link 0 4294967295` for ring 0 and never returned for wan 2).
+  const std::pair<const char*, const char*> sizes[] = {
+      {"ring 0", "ring needs n >= 3, got n = 0"},
+      {"ring 2", "ring needs n >= 3, got n = 2"},
+      {"wan 2", "wan needs 3 <= hubs <= n, got 3 hubs for n = 2"},
+      {"circulant 3", "circulant stride 3 is outside [1, n) for n = 3"}};
+  for (const auto& [spec, why] : sizes) {
+    const RunResult r = run("gen topo \"" + std::string(spec) + "\"");
+    EXPECT_EQ(r.exit_code, 3) << spec << ": " << r.output;
+    EXPECT_NE(r.output.find(why), std::string::npos) << r.output;
+  }
 }
 
 TEST(CsLabCli, GenSpecRoundTripsThroughRun) {

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/synchronizer.hpp"
@@ -147,6 +148,19 @@ TEST(CsSyncCli, ExitCodeContract) {
   EXPECT_EQ(run("sync only_one_arg").exit_code, 2);    // wrong arity
   EXPECT_EQ(run("replay /nonexistent.trace").exit_code, 3);  // runtime error
   EXPECT_EQ(run("help").exit_code, 0);
+  // Topology sizes are checked in every build: ring 0 once crashed a
+  // Release build, and ring 2 recorded its one link twice.
+  const std::string out = ::testing::TempDir() + "/cs_sync_bad_size.trace";
+  const std::pair<const char*, const char*> sizes[] = {
+      {"--topology ring --n 0", "ring needs n >= 3, got n = 0"},
+      {"--topology ring --n 2", "ring needs n >= 3, got n = 2"},
+      {"--topology wan --n 2", "wan needs 3 <= hubs <= n"},
+      {"--topology star --n 1", "star needs n >= 2, got n = 1"}};
+  for (const auto& [args, why] : sizes) {
+    const RunResult r = run("simulate " + out + " " + args);
+    EXPECT_EQ(r.exit_code, 3) << args << ": " << r.output;
+    EXPECT_NE(r.output.find(why), std::string::npos) << r.output;
+  }
 }
 
 TEST(CsSyncCli, CycleMeanFlagIsUnknown) {

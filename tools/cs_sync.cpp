@@ -518,8 +518,14 @@ int cmd_diff(const Args& args) {
 int cmd_metrics(const Args& args) {
   if (args.positional().size() != 1)
     usage_fail("metrics needs exactly one <trace-file>");
-  const Trace trace = load_trace_file(args.positional()[0]);
-  const ReplayResult result = replay(trace);
+  Metrics ingest;
+  Trace trace;
+  {
+    auto timer = Metrics::scoped(&ingest, "stage.ingest.parse_seconds");
+    trace = load_trace_file(args.positional()[0]);
+  }
+  ReplayResult result = replay(trace);
+  result.metrics.merge(ingest);
 
   if (args.on("--json")) {
     std::string out = "{\n\"tallies\": " + jmap(trace.tallies);
