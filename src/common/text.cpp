@@ -34,6 +34,23 @@ std::string format_double(double v) {
   return out;
 }
 
+std::optional<double> parse_number(std::string_view tok) {
+  double v = 0.0;
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] =
+      std::from_chars(tok.data(), end, v, std::chars_format::general);
+  if (ec != std::errc{} || ptr != end || std::isnan(v)) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view tok) {
+  std::uint64_t v = 0;
+  const char* const end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
 LineReader::LineReader(std::istream& is, std::string context)
     : is_(is), context_(std::move(context)) {}
 
@@ -79,22 +96,15 @@ void LineReader::fail_at(std::size_t line_no, const std::string& what) const {
 }
 
 double LineReader::number(std::string_view tok) const {
-  double v = 0.0;
-  const char* const end = tok.data() + tok.size();
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), end, v, std::chars_format::general);
-  if (ec != std::errc{} || ptr != end || std::isnan(v))
-    fail("bad number '" + std::string(tok) + "'");
-  return v;
+  const std::optional<double> v = parse_number(tok);
+  if (!v) fail("bad number '" + std::string(tok) + "'");
+  return *v;
 }
 
 std::uint64_t LineReader::u64(std::string_view tok) const {
-  std::uint64_t v = 0;
-  const char* const end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
-  if (ec != std::errc{} || ptr != end)
-    fail("bad unsigned integer '" + std::string(tok) + "'");
-  return v;
+  const std::optional<std::uint64_t> v = parse_u64(tok);
+  if (!v) fail("bad unsigned integer '" + std::string(tok) + "'");
+  return *v;
 }
 
 std::uint64_t LineReader::count(std::string_view tok,

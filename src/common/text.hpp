@@ -11,6 +11,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +23,16 @@ void append_double(std::string& out, double v);
 
 /// `v` as append_double prints it.
 std::string format_double(double v);
+
+/// The whole of `tok` as a double: an optional '-', then decimal digits
+/// with an optional fraction and exponent, or inf/infinity.  Anything
+/// else — a leading '+' or blank, hex, NaN, trailing characters — and
+/// values out of range (overflow to ±inf, or underflow to zero) give
+/// nullopt.  The one number grammar of the formats and the tools' flags.
+std::optional<double> parse_number(std::string_view tok);
+/// The whole of `tok` as an unsigned decimal integer (digits only, no
+/// sign); anything else and overflow give nullopt.
+std::optional<std::uint64_t> parse_u64(std::string_view tok);
 
 /// Line-by-line reader of a text document.  Each advance reads one line
 /// into a reused buffer and splits it at ASCII whitespace; tokens are views
@@ -47,15 +58,9 @@ class LineReader {
   [[noreturn]] void fail(const std::string& what) const;
   [[noreturn]] void fail_at(std::size_t line_no, const std::string& what) const;
 
-  /// The whole of `tok` as a double: an optional '-', then decimal digits
-  /// with an optional fraction and exponent, or inf/infinity.  Anything
-  /// else — a leading '+', hex, NaN, trailing characters — and values out
-  /// of range (overflow to ±inf, or underflow to zero) fail as
-  /// "bad number '<tok>'".
+  /// parse_number(tok), or fail as "bad number '<tok>'".
   double number(std::string_view tok) const;
-  /// The whole of `tok` as an unsigned decimal integer (digits only, no
-  /// sign); anything else and overflow fail as
-  /// "bad unsigned integer '<tok>'".
+  /// parse_u64(tok), or fail as "bad unsigned integer '<tok>'".
   std::uint64_t u64(std::string_view tok) const;
   /// u64(tok) for a count that sizes memory before the lines it counts
   /// arrive: a value above `limit` fails as

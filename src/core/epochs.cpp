@@ -1,6 +1,5 @@
 #include "core/epochs.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -28,15 +27,7 @@ std::vector<EpochOutcome> epochal_synchronize_incremental(
     std::span<const ClockTime> boundaries, const EpochOptions& options) {
   check_inputs(model, views, boundaries);
   Metrics* metrics = options.sync.metrics;
-  // The incremental synchronizer maintains a dense APSP closure across
-  // epochs — the very matrix a zone plan exists to avoid.  Zoned epochs
-  // therefore run the per-epoch zoned solve instead (itself the fast path;
-  // there is no dense state to delta-update).
-  std::optional<IncrementalSynchronizer> dense;
-  if (options.sync.zones == nullptr)
-    dense.emplace(model, options.sync);
-  else
-    metrics_increment(metrics, "pipeline.zoned_epoch_fallbacks");
+  IncrementalSynchronizer dense(model, options.sync);
   MlsCarry carry(options.staleness, metrics);
 
   std::vector<EpochOutcome> out;
@@ -75,8 +66,7 @@ std::vector<EpochOutcome> epochal_synchronize_incremental(
     Digraph effective = carry.apply(mls);
     epoch.carried_edges = carry.last_carried();
 
-    epoch.sync = dense ? dense->step_mls(std::move(effective))
-                       : synchronize_mls(std::move(effective), options.sync);
+    epoch.sync = dense.step_mls(std::move(effective));
     out.push_back(std::move(epoch));
     metrics_increment(metrics, "pipeline.epochs");
   }

@@ -74,8 +74,6 @@ struct EpochOptions {
 /// warm-starts Howard's policy iteration from epoch k's policy
 /// (core/incremental.hpp); consecutive epoch cuts differ in few m̃ls edges.
 /// Results agree with synchronize() on the same cuts to float tolerance.
-/// A zone plan (options.sync.zones) runs synchronize_mls per epoch
-/// instead: there is no dense closure to carry.
 /// options.sync.metrics additionally receives per-epoch stage timings and
 /// incremental-vs-rebuild hit counters.
 std::vector<EpochOutcome> epochal_synchronize_incremental(

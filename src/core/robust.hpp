@@ -5,8 +5,10 @@
 // individual observations, and consistent per-neighbor lies (equivocation)
 // corrupt whole edges while keeping each per-link pair sum — and hence
 // every two-cycle — intact, which is what makes them invisible to the
-// InvalidAssumption negative-cycle check.  Two drop-in defenses, selected
-// via SyncOptions::robust:
+// InvalidAssumption negative-cycle check.  Two drop-in defenses, applied
+// in this order by whoever builds the m̃ls graph (the byz harness,
+// byz/harness.cpp): trimmed_traffic → mls_graph_from_traffic →
+// quorum_validated_mls → synchronize_mls.
 //
 //   * trimmed folds — per direction, observations whose d̃ deviates from
 //     the direction's median by more than `trim_gate` MADs are discarded

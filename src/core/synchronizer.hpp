@@ -15,13 +15,10 @@
 #include <span>
 
 #include "core/global_estimates.hpp"
-#include "core/robust.hpp"
 #include "core/shifts.hpp"
 #include "delaymodel/assignment.hpp"
 
 namespace cs {
-
-struct ZonePlan;  // core/zones.hpp
 
 struct SyncOptions {
   /// Root processor for the gauge choice (correction of root is 0).
@@ -34,31 +31,12 @@ struct SyncOptions {
 
   /// Worker threads for the independently-parallel pipeline stages: the
   /// per-link m̃ls folds of the traffic path (models with a windowed-bias
-  /// link, or robust trimming; the extremes path is one serial pass) and,
-  /// on unbounded instances, the per-finiteness-component SHIFTS solves.  1 = serial (default); 0 =
-  /// hardware concurrency.  Results are byte-identical for any value — the
-  /// parallel stages only shard work whose writes are disjoint (see
-  /// local_estimates.hpp and ShiftsOptions::threads).
+  /// link; the extremes path is one serial pass) and, on unbounded
+  /// instances, the per-finiteness-component SHIFTS solves.  1 = serial
+  /// (default); 0 = hardware concurrency.  Results are byte-identical for
+  /// any value — the parallel stages only shard work whose writes are
+  /// disjoint (see local_estimates.hpp and ShiftsOptions::threads).
   std::size_t threads{1};
-
-  /// Robust estimation against lying agents (core/robust.hpp): MAD-trimmed
-  /// observation folds and/or quorum-validated m̃ls edges, applied between
-  /// the traffic build and GLOBAL ESTIMATES.  Inactive (the default) is
-  /// bit-identical to the naive path; with f = 0 liars the active variants
-  /// are too (property-tested).  synchronize() applies both; direct
-  /// synchronize_mls() callers apply quorum_validated_mls() themselves.
-  RobustOptions robust;
-
-  /// Zone-hierarchical plan (core/zones.hpp); nullptr = dense pipeline.
-  /// When set, synchronize()/synchronize_mls() compose per-zone SHIFTS with
-  /// a leader-quotient solve (Thm 5.5/5.6) instead of running dense APSP +
-  /// SHIFTS — the only practical path past n ≈ 1k.  The outcome then
-  /// reports the *composed bound* as optimal_precision (an upper bound on
-  /// realized precision, not the dense instance optimum unless the plan has
-  /// a single zone), leaves ms_estimates empty (never materialized — that
-  /// is the point), and groups components by zone when unbounded.  Use
-  /// synchronize_zoned() directly for the full per-zone/quotient breakdown.
-  const ZonePlan* zones{nullptr};
 };
 
 struct SyncOutcome {
@@ -89,10 +67,10 @@ SyncOutcome synchronize(const SystemModel& model, std::span<const View> views,
                         const SyncOptions& options = {});
 
 /// Pipeline tail — GLOBAL ESTIMATES + SHIFTS — over an already-built m̃ls
-/// graph.  synchronize() is ingest_views() followed by this; the
-/// epoch driver calls it (on zoned plans) after degraded-mode edge
-/// carry-forward (core/degraded.hpp) has interposed between estimation and
-/// the closure.
+/// graph.  synchronize() is ingest_views() followed by this; callers that
+/// build or filter the graph themselves (wire-reported extremes, the drift
+/// detrending, the byz harness's trim → fold → quorum sequence of
+/// core/robust.hpp) finish here.
 SyncOutcome synchronize_mls(Digraph mls_graph,
                             const SyncOptions& options = {});
 

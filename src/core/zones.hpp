@@ -138,8 +138,8 @@ struct ZonedOutcome {
 
 /// Zone-hierarchical tail of the pipeline: per-zone GLOBAL ESTIMATES +
 /// SHIFTS in parallel, leader quotient solve, Thm 5.5/5.6 composition.
-/// options.zones is ignored here (the plan argument wins); options.threads
-/// shards the per-zone solves (byte-identical at any thread count).
+/// options.threads shards the per-zone solves (byte-identical at any
+/// thread count).
 /// Throws cs::Error if the plan does not cover the graph's nodes.
 ZonedOutcome synchronize_zoned_mls(Digraph mls_graph, const ZonePlan& plan,
                                    const SyncOptions& options = {});

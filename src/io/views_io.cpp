@@ -1,8 +1,10 @@
 #include "io/views_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/flat_index.hpp"
 #include "common/text.hpp"
 #include "delaymodel/windowed_bias.hpp"
 
@@ -169,19 +171,11 @@ SystemModel load_model(std::istream& is) {
   text::LineReader r(is, "parse error");
   const std::size_t n = read_preamble(r, kModelHeader);
 
-  // Gather constraint specs per link; repeated lines conjoin (Thm 5.6).
-  struct Spec {
+  struct Line {
     ProcessorId a, b;
-    std::vector<std::unique_ptr<LinkConstraint>> parts;
+    std::unique_ptr<LinkConstraint> c;
   };
-  std::vector<Spec> specs;
-  auto find_spec = [&](ProcessorId a, ProcessorId b) -> Spec& {
-    for (Spec& s : specs)
-      if (s.a == a && s.b == b) return s;
-    specs.push_back(Spec{a, b, {}});
-    return specs.back();
-  };
-
+  std::vector<Line> lines;
   while (r.next()) {
     if (r.size() < 4 || r[0] != "link")
       r.fail("expected 'link <a> <b> <kind> ...', got '" + r.line() + "'");
@@ -210,18 +204,33 @@ SystemModel load_model(std::istream& is) {
     } else {
       r.fail("unknown link kind '" + std::string(kind) + "'");
     }
-    find_spec(a, b).parts.push_back(std::move(c));
+    lines.push_back(Line{a, b, std::move(c)});
   }
 
+  // One link per distinct (a, b), in first-appearance order; repeated lines
+  // conjoin (Thm 5.6).
   Topology topo;
   topo.node_count = n;
-  for (const Spec& s : specs) topo.links.emplace_back(s.a, s.b);
+  std::vector<std::vector<std::unique_ptr<LinkConstraint>>> parts;
+  FlatIndex link_of(lines.size());
+  for (Line& line : lines) {
+    const auto next = static_cast<std::uint32_t>(parts.size());
+    std::uint32_t link =
+        link_of.insert((std::uint64_t{line.a} << 32) | line.b, next);
+    if (link == FlatIndex::kAbsent) {
+      link = next;
+      topo.links.emplace_back(line.a, line.b);
+      parts.emplace_back();
+    }
+    parts[link].push_back(std::move(line.c));
+  }
   SystemModel model(std::move(topo));
-  for (Spec& s : specs) {
-    if (s.parts.size() == 1) {
-      model.set_constraint(std::move(s.parts.front()));
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const auto [a, b] = model.topology().links[i];
+    if (parts[i].size() == 1) {
+      model.set_constraint(std::move(parts[i].front()));
     } else {
-      model.set_constraint(make_composite(s.a, s.b, std::move(s.parts)));
+      model.set_constraint(make_composite(a, b, std::move(parts[i])));
     }
   }
   return model;

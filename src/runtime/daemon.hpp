@@ -3,7 +3,7 @@
 // precision, the offline cross-check over the recorded views, and optional
 // trace recording for bit-for-bit replay.
 //
-// This is the layer `cs_sync live`, the cs_syncd daemon, examples and tests
+// This is the layer cs_syncd (the one live front end), examples and tests
 // all call; everything below it is reusable parts, everything above it is
 // argument parsing and printing.  See docs/RUNTIME.md.
 #pragma once

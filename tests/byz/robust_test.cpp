@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
+#include "core/local_estimates.hpp"
 #include "core/robust.hpp"
 #include "core/synchronizer.hpp"
 #include "delaymodel/link_stats.hpp"
@@ -54,15 +56,20 @@ TEST(RobustHonestyTax, FiftyRandomInstancesAreBitIdentical) {
     const SimResult sim = test::run_ping_pong(model, seed, 0.2, 12);
     const std::vector<View> views = sim.execution.views();
 
-    SyncOptions naive;
-    const SyncOutcome base = synchronize(model, views, naive);
+    const SyncOutcome base = synchronize(model, views);
 
     // Honest routes always corroborate within the declared band's width,
-    // so a full-width per-hop tolerance keeps quorum from firing.
+    // so a full-width per-hop tolerance keeps quorum from firing.  Each
+    // variant runs the byz harness's order: trim, fold, quorum, solve.
     for (std::size_t v = 1; v <= 3; ++v) {
-      SyncOptions opts;
-      opts.robust = robust_variant(v, 0.10);
-      const SyncOutcome out = synchronize(model, views, opts);
+      const RobustOptions robust = robust_variant(v, 0.10);
+      LinkTraffic traffic =
+          LinkTraffic::estimated_from_views(views, MatchPolicy::kStrict);
+      if (robust.trim)
+        traffic = trimmed_traffic(traffic, model, robust.trim_gate);
+      Digraph mls = mls_graph_from_traffic(model, traffic);
+      if (robust.quorum > 0) mls = quorum_validated_mls(mls, robust);
+      const SyncOutcome out = synchronize_mls(std::move(mls));
       ASSERT_EQ(out.corrections.size(), base.corrections.size())
           << "instance " << i << " variant " << v;
       for (std::size_t p = 0; p < base.corrections.size(); ++p)

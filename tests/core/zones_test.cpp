@@ -175,28 +175,6 @@ TEST(ZonedSync, ThreadCountDoesNotChangeABit) {
     EXPECT_EQ(a.zones[z].a_max, b.zones[z].a_max);
 }
 
-TEST(ZonedSync, SyncOptionsZonesRoutesThroughSynchronize) {
-  // options.zones on the facade must yield the composed corrections and
-  // report the composed bound as optimal_precision.
-  SystemModel model = test::bounded_model(make_ring(12), 0.002, 0.01);
-  const SimResult run = test::run_ping_pong(model, 31, 0.3);
-  const auto views = run.execution.views();
-  const ZonePlan plan = greedy_bfs_zones(model.topology(), 4);
-
-  const ZonedOutcome direct =
-      synchronize_zoned(model, views, plan, serial_opts());
-  SyncOptions opts = serial_opts();
-  opts.zones = &plan;
-  const SyncOutcome faced = synchronize(model, views, opts);
-
-  ASSERT_TRUE(faced.bounded());
-  EXPECT_EQ(faced.optimal_precision.finite(),
-            direct.composed_bound.finite());
-  EXPECT_EQ(faced.corrections, direct.corrections);
-  EXPECT_EQ(faced.ms_estimates.size(), 0u);  // never materialized
-  EXPECT_EQ(faced.components.component_count, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Realized-precision splitter
 

@@ -106,12 +106,25 @@ TEST(ModelIo, RoundTripAllKinds) {
 }
 
 TEST(ModelIo, RepeatedLinkLinesConjoin) {
-  std::stringstream ss(
-      "chronosync-model v1\nprocessors 2\n"
-      "link 0 1 bounds 0.001 0.02\nlink 0 1 bias 0.005\n");
-  const SystemModel model = load_model(ss);
-  EXPECT_EQ(model.constraint(0, 1).describe(),
-            "bounds[0.001,0.02]/[0.001,0.02] & bias[0.005]");
+  // Adjacent or interleaved, repeated lines of one link conjoin, and links
+  // keep the order of their first line.
+  using Links = std::vector<std::pair<NodeId, NodeId>>;
+  const std::pair<const char*, Links> cases[] = {
+      {"processors 2\n"
+       "link 0 1 bounds 0.001 0.02\nlink 0 1 bias 0.005\n",
+       {{0, 1}}},
+      {"processors 3\n"
+       "link 0 1 bounds 0.001 0.02\nlink 1 2 none\nlink 0 1 bias 0.005\n",
+       {{0, 1}, {1, 2}}},
+  };
+  for (const auto& [body, links] : cases) {
+    std::stringstream ss(std::string("chronosync-model v1\n") + body);
+    const SystemModel model = load_model(ss);
+    EXPECT_EQ(model.constraint(0, 1).describe(),
+              "bounds[0.001,0.02]/[0.001,0.02] & bias[0.005]")
+        << body;
+    EXPECT_EQ(model.topology().links, links) << body;
+  }
 }
 
 TEST(ModelIo, RoundTripComposite) {

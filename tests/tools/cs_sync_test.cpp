@@ -145,6 +145,11 @@ TEST(CsSyncCli, MetricsJsonIsWellFormedEnough) {
 
 TEST(CsSyncCli, ExitCodeContract) {
   EXPECT_EQ(run("frobnicate").exit_code, 2);           // unknown subcommand
+  // Live agents run under cs_syncd, the one live front end.
+  const RunResult live = run("live --n 4 --epochs 1");
+  EXPECT_EQ(live.exit_code, 2) << live.output;
+  EXPECT_NE(live.output.find("unknown subcommand 'live'"), std::string::npos)
+      << live.output;
   EXPECT_EQ(run("sync only_one_arg").exit_code, 2);    // wrong arity
   EXPECT_EQ(run("replay /nonexistent.trace").exit_code, 3);  // runtime error
   EXPECT_EQ(run("help").exit_code, 0);
@@ -190,44 +195,11 @@ TEST(CsSyncCli, HelpAfterAnySubcommandExitsZero) {
   // `cs_sync <sub> --help` is a documentation request, not a flag error:
   // exit 0 with the usage text on stdout, uniformly across subcommands.
   for (const char* sub :
-       {"simulate", "sync", "replay", "diff", "metrics", "live"}) {
+       {"simulate", "sync", "replay", "diff", "metrics"}) {
     const RunResult r = run(std::string(sub) + " --help");
     EXPECT_EQ(r.exit_code, 0) << sub << ": " << r.output;
     EXPECT_NE(r.output.find("usage:"), std::string::npos) << sub;
   }
-}
-
-TEST(CsSyncCli, LiveLoopbackConvergesAndMatchesOffline) {
-  const RunResult r =
-      run("live --n 6 --epochs 2 --seed 4 --json");
-  ASSERT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("\"converged\": true"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("\"all_match\": true"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("\"matches_offline\": true"), std::string::npos)
-      << r.output;
-}
-
-TEST(CsSyncCli, LiveRecordedTraceReplays) {
-  const std::string trace_path = ::testing::TempDir() + "/cs_live.trace";
-  const RunResult live =
-      run("live --n 4 --seed 8 --trace " + trace_path);
-  ASSERT_EQ(live.exit_code, 0) << live.output;
-  const RunResult rep = run("replay " + trace_path);
-  EXPECT_EQ(rep.exit_code, 0) << rep.output;
-}
-
-TEST(CsSyncCli, LiveRejectsBadTransport) {
-  EXPECT_EQ(run("live --transport carrier-pigeon").exit_code, 2);
-}
-
-TEST(CsSyncCli, LiveRejectsNegativeGrace) {
-  // A negative grace would silently disable the leader watchdog.
-  const RunResult r = run("live --n 4 --epochs 1 --grace -1");
-  EXPECT_EQ(r.exit_code, 3) << r.output;
-  EXPECT_NE(r.output.find("grace must be non-negative"), std::string::npos)
-      << r.output;
 }
 
 TEST(CsSyncCli, SubcommandsRefuseFlagsTheyIgnore) {
@@ -248,16 +220,12 @@ TEST(CsSyncCli, SubcommandsRefuseFlagsTheyIgnore) {
       {"metrics", trace + " --n 99", "--n"},
       {"diff", trace + " " + trace + " --grace 5", "--grace"},
       {"diff", trace + " " + trace + " --leader 9", "--leader"},
-      // live's leader always roots at --leader and drops orphans.
-      {"live", "--n 4 --epochs 1 --root 2", "--root"},
-      {"live", "--n 4 --epochs 1 --match strict", "--match"},
       {"sync", "a.views b.model --seed 3", "--seed"},
       {"simulate", out + " --rerecord " + out, "--rerecord"},
       // One epoch driver and one APSP: no subcommand reads either choice.
       {"simulate", out + " --rebuild", "--rebuild"},
       {"simulate", out + " --apsp johnson", "--apsp"},
       {"sync", "a.views b.model --apsp johnson", "--apsp"},
-      {"live", "--n 4 --epochs 1 --apsp johnson", "--apsp"},
   };
   for (const Case& c : cases) {
     const RunResult r = run(c.sub + " " + c.args);

@@ -1,15 +1,25 @@
-// Command-line plumbing shared by cs_sync and cs_lab: the usage-error type
-// (both tools exit 2 on it) and a `--flag value` / `--switch` parser that
-// checks every flag against the flag set of one subcommand.
+// Command-line plumbing shared by cs_sync, cs_syncd and cs_lab: the
+// usage-error type (every tool exits 2 on it), a `--flag value` / `--switch`
+// parser that checks every flag against the flag set of one subcommand or
+// mode, number flags read with the formats' one number grammar
+// (docs/TRACE.md §1), the model flags, and the writers of the --json
+// reports.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <map>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/rng.hpp"
+#include "common/text.hpp"
+#include "delaymodel/constraint.hpp"
+#include "graph/topology.hpp"
+#include "io/views_io.hpp"
 
 namespace cs::cli {
 
@@ -75,22 +85,94 @@ class Args {
 
 inline double parse_double_flag(const std::string& flag,
                                 const std::string& text) {
-  if (text == "inf") return std::numeric_limits<double>::infinity();
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0')
-    usage_fail("flag '" + flag + "': '" + text + "' is not a number");
-  return v;
+  const std::optional<double> v = text::parse_number(text);
+  if (!v) usage_fail("flag '" + flag + "': '" + text + "' is not a number");
+  return *v;
 }
 
 inline std::uint64_t parse_u64_flag(const std::string& flag,
                                     const std::string& text) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || text[0] == '-')
+  const std::optional<std::uint64_t> v = text::parse_u64(text);
+  if (!v)
     usage_fail("flag '" + flag + "': '" + text +
                "' is not a non-negative integer");
-  return v;
+  return *v;
+}
+
+inline std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::string part;
+  std::istringstream is(text);
+  while (std::getline(is, part, sep)) parts.push_back(part);
+  return parts;
+}
+
+/// The model flags' defaults, which differ per tool.
+struct ModelDefaults {
+  std::string topology, n, lower, upper;
+};
+
+/// The system a command line names: an explicit --model file, or a
+/// generated --topology of --n processors (drawn from `rng`) with uniform
+/// [--lower, --upper] bounds on every link.
+inline SystemModel model_from_flags(const Args& args, Rng& rng,
+                                    const ModelDefaults& defaults) {
+  if (args.has("--model")) return load_model_file(args.get("--model"));
+  const auto n = static_cast<std::size_t>(
+      parse_u64_flag("--n", args.get("--n", defaults.n)));
+  SystemModel m(make_named(args.get("--topology", defaults.topology), n, rng));
+  const double lower =
+      parse_double_flag("--lower", args.get("--lower", defaults.lower));
+  const double upper =
+      parse_double_flag("--upper", args.get("--upper", defaults.upper));
+  for (auto [a, b] : m.topology().links)
+    m.set_constraint(make_bounds(a, b, lower, upper));
+  return m;
+}
+
+// ---------------------------------------------------------------------------
+// JSON writers of the --json reports
+
+/// JSON number.  JSON has no infinity or NaN, so those print as the strings
+/// "inf", "-inf" and "nan", as Metrics::to_json prints them.
+inline std::string jnum(double v) {
+  if (std::isfinite(v)) return text::format_double(v);
+  return v > 0 ? "\"inf\"" : v < 0 ? "\"-inf\"" : "\"nan\"";
+}
+
+inline std::string jbool(bool b) { return b ? "true" : "false"; }
+
+inline std::string jstr(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
+inline std::string jarray(const std::vector<double>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += jnum(values[i]);
+  }
+  return out + "]";
+}
+
+inline std::string jarray(const std::vector<std::string>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += jstr(values[i]);
+  }
+  return out + "]";
 }
 
 }  // namespace cs::cli

@@ -2,25 +2,20 @@
 //
 //   cs_sync simulate <out.trace> [flags]   record a run as a replayable trace
 //   cs_sync sync <views> <model> [flags]   offline synchronization (§3–§6)
-//   cs_sync live [flags]                   live agents over a real transport
 //   cs_sync replay <trace> [flags]         deterministic replay + self-check
 //   cs_sync diff <a.trace> <b.trace>       structural trace comparison
 //   cs_sync metrics <trace> [flags]        replay and dump counters/metrics
 //
 // Every subcommand takes --json for machine-readable output and --help for
 // the flag reference (exit 0); --version prints the release.  Exit codes:
-// 0 success, 1 divergences found (replay/diff/live), 2 usage error,
+// 0 success, 1 divergences found (replay/diff), 2 usage error,
 // 3 runtime error.  Run with no arguments for the full flag reference.
+// Live agents run under cs_syncd.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,10 +26,7 @@
 #include "core/epochs.hpp"
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"
-#include "runtime/daemon.hpp"
-#include "delaymodel/constraint.hpp"
 #include "drift/oscillator.hpp"
-#include "graph/topology.hpp"
 #include "io/views_io.hpp"
 #include "proto/beacon.hpp"
 #include "proto/ping_pong.hpp"
@@ -55,56 +47,8 @@ constexpr int kExitDivergence = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream is(text);
-  while (std::getline(is, part, sep)) parts.push_back(part);
-  return parts;
-}
-
 // ---------------------------------------------------------------------------
 // Output helpers
-
-/// JSON number: "inf" is not valid JSON, so infinities become strings.
-std::string jnum(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "\"inf\"";
-  if (v == -std::numeric_limits<double>::infinity()) return "\"-inf\"";
-  return text::format_double(v);
-}
-
-std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string jarray(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += jnum(values[i]);
-  }
-  return out + "]";
-}
-
-std::string jarray(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += jstr(values[i]);
-  }
-  return out + "]";
-}
 
 std::string jmap(const std::map<std::string, std::uint64_t>& m) {
   std::string out = "{";
@@ -197,21 +141,9 @@ int cmd_simulate(const Args& args) {
       parse_u64_flag("--seed", args.get("--seed", "1"));
   Rng rng(seed);
 
-  // The system: an explicit model file, or a generated topology with
-  // uniform [lower, upper] bounds on every link.
-  SystemModel model = [&] {
-    if (args.has("--model")) return load_model_file(args.get("--model"));
-    const std::size_t n = static_cast<std::size_t>(
-        parse_u64_flag("--n", args.get("--n", "5")));
-    SystemModel m(make_named(args.get("--topology", "ring"), n, rng));
-    const double lower =
-        parse_double_flag("--lower", args.get("--lower", "0.002"));
-    const double upper =
-        parse_double_flag("--upper", args.get("--upper", "0.010"));
-    for (auto [a, b] : m.topology().links)
-      m.set_constraint(make_bounds(a, b, lower, upper));
-    return m;
-  }();
+  const SystemModel model = model_from_flags(
+      args, rng,
+      {.topology = "ring", .n = "5", .lower = "0.002", .upper = "0.010"});
   const std::size_t n = model.processor_count();
 
   // The interactive part.
@@ -382,8 +314,7 @@ int cmd_sync(const Args& args) {
     if (args.on("--json")) {
       std::string out =
           "{\"precision\": " + jnum(z.composed_bound.value());
-      out += ", \"bounded\": ";
-      out += z.bounded() ? "true" : "false";
+      out += ", \"bounded\": " + jbool(z.bounded());
       out += ", \"zone_count\": " + std::to_string(z.plan.count);
       out += ", \"max_zone_a_max\": " + jnum(z.max_zone_a_max);
       out += ", \"quotient_a_max\": " + jnum(z.quotient_a_max.value());
@@ -393,8 +324,7 @@ int cmd_sync(const Args& args) {
         if (i > 0) out += ", ";
         out += "{\"leader\": " + std::to_string(zs.leader);
         out += ", \"size\": " + std::to_string(zs.size);
-        out += ", \"bounded\": ";
-        out += zs.bounded ? "true" : "false";
+        out += ", \"bounded\": " + jbool(zs.bounded);
         out += ", \"a_max\": " +
                jnum(zs.bounded ? zs.a_max
                                : std::numeric_limits<double>::infinity());
@@ -431,8 +361,7 @@ int cmd_sync(const Args& args) {
   if (args.on("--json")) {
     std::string out = "{\"precision\": " +
                       jnum(outcome.optimal_precision.value());
-    out += ", \"bounded\": ";
-    out += outcome.bounded() ? "true" : "false";
+    out += ", \"bounded\": " + jbool(outcome.bounded());
     out += ", \"corrections\": " + jarray(outcome.corrections);
     if (!outcome.bounded())
       out += ", \"component_precision\": " +
@@ -468,8 +397,7 @@ int cmd_replay(const Args& args) {
 
   if (args.on("--json")) {
     std::string out = "{\"epochs\": " + std::to_string(result.epochs.size());
-    out += ", \"match\": ";
-    out += result.matches_recording() ? "true" : "false";
+    out += ", \"match\": " + jbool(result.matches_recording());
     out += ", \"divergences\": " + jarray(result.divergences) + "}";
     std::printf("%s\n", out.c_str());
   } else {
@@ -499,8 +427,7 @@ int cmd_diff(const Args& args) {
   const std::vector<std::string> divergences = diff_traces(a, b, cap);
 
   if (args.on("--json")) {
-    std::string out = "{\"equal\": ";
-    out += divergences.empty() ? "true" : "false";
+    std::string out = "{\"equal\": " + jbool(divergences.empty());
     out += ", \"divergences\": " + jarray(divergences) + "}";
     std::printf("%s\n", out.c_str());
   } else if (divergences.empty()) {
@@ -546,170 +473,6 @@ int cmd_metrics(const Args& args) {
 }
 
 // ---------------------------------------------------------------------------
-// live
-
-int cmd_live(const Args& args) {
-  const std::uint64_t seed =
-      parse_u64_flag("--seed", args.get("--seed", "1"));
-  Rng rng(seed);
-
-  SystemModel model = [&] {
-    if (args.has("--model")) return load_model_file(args.get("--model"));
-    const std::size_t n = static_cast<std::size_t>(
-        parse_u64_flag("--n", args.get("--n", "8")));
-    SystemModel m(make_named(args.get("--topology", "complete"), n, rng));
-    const double lower =
-        parse_double_flag("--lower", args.get("--lower", "0"));
-    const double upper =
-        parse_double_flag("--upper", args.get("--upper", "1"));
-    for (auto [a, b] : m.topology().links)
-      m.set_constraint(make_bounds(a, b, lower, upper));
-    return m;
-  }();
-
-  LiveConfig config;
-  config.seed = seed;
-  config.skew = parse_double_flag("--skew", args.get("--skew", "0.05"));
-  const std::string transport = args.get("--transport", "loopback");
-  if (transport == "loopback")
-    config.transport = LiveTransportKind::kLoopback;
-  else if (transport == "loopback-threaded")
-    config.transport = LiveTransportKind::kLoopbackThreaded;
-  else if (transport == "udp")
-    config.transport = LiveTransportKind::kUdp;
-  else
-    usage_fail("--transport must be loopback, loopback-threaded or udp, "
-               "got '" + transport + "'");
-  config.delay_scale = parse_double_flag(
-      "--delay-scale", args.get("--delay-scale", "0.01"));
-  config.drop_probability =
-      parse_double_flag("--drop", args.get("--drop", "0"));
-  config.trace_path = args.get("--trace", "");
-  config.offline_check = !args.on("--no-check");
-  config.deadline =
-      Duration{parse_double_flag("--deadline", args.get("--deadline", "30"))};
-
-  config.agent.warmup =
-      Duration{parse_double_flag("--warmup", args.get("--warmup", "0.2"))};
-  config.agent.spacing = Duration{
-      parse_double_flag("--spacing", args.get("--spacing", "0.05"))};
-  config.agent.rounds = static_cast<std::size_t>(
-      parse_u64_flag("--rounds", args.get("--rounds", "4")));
-  config.agent.report_at = Duration{
-      parse_double_flag("--report-at", args.get("--report-at", "1"))};
-  config.agent.period =
-      Duration{parse_double_flag("--period", args.get("--period", "1"))};
-  config.agent.epochs = static_cast<std::size_t>(
-      parse_u64_flag("--epochs", args.get("--epochs", "2")));
-  config.agent.grace =
-      Duration{parse_double_flag("--grace", args.get("--grace", "0"))};
-  config.agent.leader = static_cast<ProcessorId>(
-      parse_u64_flag("--leader", args.get("--leader", "0")));
-  config.drift.rho =
-      parse_double_flag("--drift-ppm", args.get("--drift-ppm", "0")) * 1e-6;
-  config.drift.slack =
-      parse_double_flag("--drift-slack", args.get("--drift-slack", "0"));
-  if ((config.drift.rho > 0.0) != (config.drift.slack > 0.0))
-    usage_fail("--drift-ppm and --drift-slack go together");
-
-  std::optional<ZonePlan> zone_plan;
-  if (args.has("--zones")) {
-    const std::size_t target = static_cast<std::size_t>(
-        parse_u64_flag("--zones", args.get("--zones")));
-    if (target == 0) usage_fail("--zones wants a target zone size >= 1");
-    zone_plan = greedy_bfs_zones(model.topology(), target);
-    config.zones = &*zone_plan;
-  }
-
-  const LiveReport report = run_live(model, config);
-  const bool ok =
-      report.converged && (!report.checked || report.all_match);
-
-  if (args.on("--json")) {
-    std::string out = "{\"transport\": " + jstr(report.transport);
-    out += ", \"agents\": " + std::to_string(report.agents);
-    out += ", \"seed\": " + std::to_string(seed);
-    out += ", \"converged\": ";
-    out += report.converged ? "true" : "false";
-    out += ", \"checked\": ";
-    out += report.checked ? "true" : "false";
-    out += ", \"all_match\": ";
-    out += report.all_match ? "true" : "false";
-    out += ", \"dispatched\": " + std::to_string(report.dispatched);
-    out += ", \"epochs\": [";
-    for (std::size_t k = 0; k < report.epochs.size(); ++k) {
-      const LiveEpochReport& ep = report.epochs[k];
-      if (k > 0) out += ", ";
-      out += "{\"epoch\": " + std::to_string(ep.epoch);
-      out += ", \"boundary\": " + jnum(ep.boundary.sec);
-      out += ", \"computed\": ";
-      out += ep.claimed_precision.has_value() ? "true" : "false";
-      if (ep.claimed_precision.has_value())
-        out += ", \"precision\": " + jnum(*ep.claimed_precision);
-      if (ep.drift_bound.has_value())
-        out += ", \"drift_bound\": " + jnum(*ep.drift_bound);
-      if (ep.realized_precision.has_value())
-        out += ", \"realized\": " + jnum(*ep.realized_precision);
-      if (ep.realized_intra.has_value())
-        out += ", \"realized_intra\": " + jnum(*ep.realized_intra);
-      if (ep.realized_cross.has_value())
-        out += ", \"realized_cross\": " + jnum(*ep.realized_cross);
-      if (ep.offline_precision.has_value())
-        out += ", \"offline_precision\": " + jnum(*ep.offline_precision);
-      out += ", \"degraded\": ";
-      out += ep.degraded ? "true" : "false";
-      out += ", \"matches_offline\": ";
-      out += ep.matches_offline ? "true" : "false";
-      out += ", \"reports\": " + std::to_string(ep.reports_absorbed);
-      out += ", \"acks\": " + std::to_string(ep.acks);
-      out += ", \"corrections\": " + jarray(ep.corrections);
-      out += "}";
-    }
-    out += "], \"metrics\": " + report.metrics.to_json(0) + "}";
-    std::printf("%s\n", out.c_str());
-    return ok ? kExitOk : kExitDivergence;
-  }
-
-  std::printf("live run: %zu agents over %s, %zu events dispatched%s\n",
-              report.agents, report.transport.c_str(), report.dispatched,
-              report.timed_out ? " (deadline hit)" : "");
-  if (config.drift.active())
-    std::printf("drift budget: rho %s slack %s -> period %s, %zu epochs%s\n",
-                text::format_double(config.drift.rho).c_str(),
-                text::format_double(config.drift.slack).c_str(),
-                text::format_double(report.resync_period.sec).c_str(),
-                report.resync_epochs,
-                report.resync_clamped ? " (clamped)" : "");
-  for (const LiveEpochReport& ep : report.epochs) {
-    if (!ep.claimed_precision.has_value()) {
-      std::printf("epoch %zu  boundary %s  NOT COMPUTED (%zu/%zu reports)\n",
-                  ep.epoch, text::format_double(ep.boundary.sec).c_str(),
-                  ep.reports_absorbed, report.agents);
-      continue;
-    }
-    std::printf("epoch %zu  boundary %s  precision %s  realized %s%s",
-                ep.epoch, text::format_double(ep.boundary.sec).c_str(),
-                text::format_double(*ep.claimed_precision).c_str(),
-                ep.realized_precision
-                    ? text::format_double(*ep.realized_precision).c_str()
-                    : "?",
-                ep.degraded ? "  DEGRADED" : "");
-    if (ep.realized_intra.has_value() && ep.realized_cross.has_value())
-      std::printf("  intra %s  cross %s",
-                  text::format_double(*ep.realized_intra).c_str(),
-                  text::format_double(*ep.realized_cross).c_str());
-    if (ep.offline_precision.has_value())
-      std::printf("  offline %s  %s",
-                  text::format_double(*ep.offline_precision).c_str(),
-                  ep.matches_offline ? "match" : "MISMATCH");
-    std::printf("\n");
-  }
-  std::printf("%s\n", ok ? (report.converged ? "converged" : "ok")
-                         : "NOT CONVERGED or live/offline mismatch");
-  return ok ? kExitOk : kExitDivergence;
-}
-
-// ---------------------------------------------------------------------------
 
 void print_usage(std::FILE* out) {
   std::fprintf(out, R"(cs_sync — chronosync pipeline driver
@@ -725,7 +488,6 @@ subcommands:
   replay <trace>           deterministic replay, verified vs. the recording
   diff <a.trace> <b.trace> structural trace comparison
   metrics <trace>          replay and dump tallies/counters
-  live                     run n sync agents over a live transport
   version                  print the release banner (also --version)
 
 common flags:
@@ -755,18 +517,7 @@ replay flags (replay, diff and metrics rerun the trace's recorded plan):
 diff flags:
   --max-reports N          divergence report cap (default 16)
 
-live flags:
-  --transport loopback|loopback-threaded|udp   (default loopback)
-  --topology/--n/--lower/--upper/--model       as for simulate
-  --seed U --skew S --delay-scale S --drop P   (loopback transports)
-  --warmup S --spacing S --rounds N            probe phase, per epoch
-  --report-at S --period S --epochs N          epoch schedule
-  --grace S                degraded-mode watchdog (0 = wait forever)
-  --leader N --deadline S --trace FILE
-  --zones K                split realized precision per-zone vs cross-zone
-  --drift-ppm R --drift-slack S   drift budget: clamp the epoch period so
-                           band-R clocks drift at most S between re-syncs
-  --no-check               skip the offline cross-check
+live agents over a real transport run under cs_syncd (docs/RUNTIME.md)
 
 a flag its subcommand does not read is a usage error
 exit codes: 0 ok, 1 divergence found, 2 usage error, 3 runtime error
@@ -798,8 +549,7 @@ int main(int argc, char** argv) {
   try {
     // Each subcommand accepts exactly the flags its code reads.  replay,
     // diff and metrics rerun a trace's recorded plan, so they take none of
-    // the pipeline flags; live's leader always roots at --leader and drops
-    // orphans, so it takes neither --root nor --match.
+    // the pipeline flags.
     struct Subcommand {
       int (*run)(const Args&);
       FlagSet flags;
@@ -818,14 +568,6 @@ int main(int argc, char** argv) {
         {"replay", {cmd_replay, {{"--rerecord"}, {"--json"}}}},
         {"diff", {cmd_diff, {{"--max-reports"}, {"--json"}}}},
         {"metrics", {cmd_metrics, {{}, {"--json"}}}},
-        {"live",
-         {cmd_live,
-          {{"--topology", "--n", "--lower", "--upper", "--model", "--seed",
-            "--skew", "--transport", "--delay-scale", "--drop", "--trace",
-            "--deadline", "--warmup", "--spacing", "--rounds", "--report-at",
-            "--period", "--epochs", "--grace", "--leader", "--drift-ppm",
-            "--drift-slack", "--zones"},
-           {"--json", "--no-check"}}}},
     };
     const auto it = subcommands.find(command);
     if (it == subcommands.end())

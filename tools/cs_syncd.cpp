@@ -1,46 +1,46 @@
-// cs_syncd — standalone clock-synchronization agent daemon.
+// cs_syncd — the live clock-synchronization front end.
 //
-// Launches n SyncAgent automata over a live transport (deterministic
-// loopback, threaded loopback, or UDP over localhost), runs the §7
-// probe → report → compute → disseminate protocol for the configured
-// number of epochs, and prints the converged corrections plus the
-// achieved precision.  The heavy lifting lives in src/runtime/daemon.cpp
-// (run_live); this binary is flag parsing and reporting.
+// Default (live) mode launches n SyncAgent automata over a live transport
+// (deterministic loopback, threaded loopback, or UDP over localhost), runs
+// the §7 probe → report → compute → disseminate protocol for the
+// configured number of epochs, and prints the converged corrections plus
+// the achieved precision.  The heavy lifting lives in
+// src/runtime/daemon.cpp (run_live); this binary is flag parsing and
+// reporting.  --serve and --peers run the chronosync-wire daemons of
+// docs/NET.md.
 //
 //   cs_syncd --n 8 --transport udp --epochs 2 --json
 //
 // Exit codes match cs_sync: 0 converged (and, unless --no-check, the
 // deterministic-loopback corrections matched the offline pipeline),
-// 1 not converged or live/offline mismatch, 2 usage error, 3 error.
+// 1 not converged, an offline mismatch or a detected epoch, 2 usage error,
+// 3 error.  docs/RUNTIME.md §8 lists the keys of every --json report.
 #include <time.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "common/version.hpp"
 #include "core/zones.hpp"
-#include "delaymodel/constraint.hpp"
-#include "graph/topology.hpp"
-#include "io/views_io.hpp"
 #include "net/daemon.hpp"
 #include "net/server.hpp"
 #include "runtime/daemon.hpp"
 
+#include "cli.hpp"
+
 namespace {
 
 using namespace cs;
+using namespace cs::cli;
 
 constexpr int kExitOk = 0;
 constexpr int kExitDivergence = 1;
@@ -48,7 +48,8 @@ constexpr int kExitUsage = 2;
 constexpr int kExitError = 3;
 
 void print_usage(std::FILE* out) {
-  std::fprintf(out, R"(cs_syncd — live clock-synchronization agent daemon
+  std::fprintf(out, R"(cs_syncd — the live clock-synchronization front end
+(cs_sync is the offline driver)
 
 usage: cs_syncd [flags]
 
@@ -80,7 +81,7 @@ usage: cs_syncd [flags]
                            (docs/BYZ.md)
   --leader N --deadline S --trace FILE
   --no-check               skip the offline cross-check
-  --json                   machine-readable report
+  --json                   machine-readable report (docs/RUNTIME.md §8)
   --version                print the release banner
 
 wire-protocol modes (chronosync-wire v1, docs/NET.md):
@@ -113,34 +114,9 @@ each mode takes only the flags it reads; any other flag is a usage error:
                            --warmup --spacing --rounds --report-at --leader
                            --deadline --json and the multihost flags above
 
-exit codes: 0 ok, 1 not converged / mismatch, 2 usage error, 3 error
+exit codes: 0 ok, 1 not converged / offline mismatch / detected epoch,
+2 usage error, 3 error
 )");
-}
-
-double num_flag(const std::string& name, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "cs_syncd: %s expects a number, got '%s'\n",
-                 name.c_str(), value.c_str());
-    std::exit(kExitUsage);
-  }
-  return v;
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) {
-      parts.push_back(text.substr(start));
-      break;
-    }
-    parts.push_back(text.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return parts;
 }
 
 volatile std::sig_atomic_t g_stop = 0;
@@ -152,23 +128,27 @@ double realtime_now() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
-using FlagGet =
-    std::function<std::string(const std::string&, const std::string&)>;
+/// Both agent modes build their model from the same flags and defaults.
+SystemModel agent_model(const Args& args, std::uint64_t seed) {
+  Rng rng(seed);
+  return model_from_flags(
+      args, rng, {.topology = "complete", .n = "8", .lower = "0", .upper = "1"});
+}
 
 /// --serve: the multi-client echo daemon (net::SyncServer) on --listen.
-int run_serve(const std::map<std::string, std::string>& flags,
-              const FlagGet& get) {
+int cmd_serve(const Args& args) {
   net::SyncServerConfig config;
-  config.listen = net::parse_hostport(get("--listen", "127.0.0.1:0"));
-  config.agent = static_cast<ProcessorId>(num_flag("--id", get("--id", "0")));
-  config.session.max_sessions = static_cast<std::size_t>(
-      num_flag("--max-sessions", get("--max-sessions", "100000")));
-  config.session.idle_timeout =
-      Duration{num_flag("--idle-timeout", get("--idle-timeout", "30"))};
+  config.listen = net::parse_hostport(args.get("--listen", "127.0.0.1:0"));
+  config.agent =
+      static_cast<ProcessorId>(parse_u64_flag("--id", args.get("--id", "0")));
+  config.session.max_sessions = static_cast<std::size_t>(parse_u64_flag(
+      "--max-sessions", args.get("--max-sessions", "100000")));
+  config.session.idle_timeout = Duration{parse_double_flag(
+      "--idle-timeout", args.get("--idle-timeout", "30"))};
+  const double serve_seconds = parse_double_flag(
+      "--serve-seconds", args.get("--serve-seconds", "0"));
   net::SyncServer server(config);
 
-  const double serve_seconds =
-      num_flag("--serve-seconds", get("--serve-seconds", "0"));
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
@@ -179,9 +159,9 @@ int run_serve(const std::map<std::string, std::string>& flags,
   while (g_stop == 0 && (until == 0.0 || realtime_now() < until))
     server.step(100);
 
-  if (flags.count("--json") != 0) {
+  if (args.on("--json")) {
     std::string out = "{\"mode\": \"serve\"";
-    out += ", \"listen\": \"" + net::to_string(server.local_address()) + "\"";
+    out += ", \"listen\": " + jstr(net::to_string(server.local_address()));
     out += ", \"sessions\": " + std::to_string(server.active_sessions());
     out += ", \"peak_sessions\": " + std::to_string(server.peak_sessions());
     out += ", \"frames\": " + std::to_string(server.frames_received());
@@ -196,34 +176,46 @@ int run_serve(const std::map<std::string, std::string>& flags,
 }
 
 /// --peers: one agent of a multihost LAN run (net::NetDaemon).
-int run_multihost(const std::map<std::string, std::string>& flags,
-                  const FlagGet& get, const SystemModel& model) {
+int cmd_peers(const Args& args) {
+  const SystemModel model =
+      agent_model(args, parse_u64_flag("--seed", args.get("--seed", "1")));
   net::NetDaemonConfig config;
   config.model = &model;
-  config.id = static_cast<ProcessorId>(num_flag("--id", get("--id", "0")));
-  config.leader =
-      static_cast<ProcessorId>(num_flag("--leader", get("--leader", "0")));
-  for (const std::string& part : split_csv(flags.at("--peers")))
+  config.id =
+      static_cast<ProcessorId>(parse_u64_flag("--id", args.get("--id", "0")));
+  config.leader = static_cast<ProcessorId>(
+      parse_u64_flag("--leader", args.get("--leader", "0")));
+  for (const std::string& part : split(args.get("--peers"), ','))
     config.peers.push_back(net::parse_hostport(part));
-  if (flags.count("--listen") != 0 && config.id < config.peers.size())
-    config.peers[config.id] = net::parse_hostport(flags.at("--listen"));
+  if (args.has("--listen") && config.id < config.peers.size())
+    config.peers[config.id] = net::parse_hostport(args.get("--listen"));
 
   // Shared schedule origin: every daemon of the run must use the same
   // value.  The default only works when all daemons launch within the
   // same second — scripts pass --base explicitly.
-  config.base = num_flag(
-      "--base",
-      get("--base", text::format_double(std::floor(realtime_now()) + 2.0)));
-  config.start_offset =
-      Duration{num_flag("--start-offset", get("--start-offset", "0"))};
-  config.warmup = Duration{num_flag("--warmup", get("--warmup", "0.3"))};
-  config.spacing = Duration{num_flag("--spacing", get("--spacing", "0.05"))};
-  config.rounds =
-      static_cast<std::size_t>(num_flag("--rounds", get("--rounds", "6")));
-  config.report_at =
-      Duration{num_flag("--report-at", get("--report-at", "1.2"))};
+  config.base = args.has("--base")
+                    ? parse_double_flag("--base", args.get("--base"))
+                    : std::floor(realtime_now()) + 2.0;
+  config.start_offset = Duration{parse_double_flag(
+      "--start-offset", args.get("--start-offset", "0"))};
+  config.warmup =
+      Duration{parse_double_flag("--warmup", args.get("--warmup", "0.3"))};
+  config.spacing =
+      Duration{parse_double_flag("--spacing", args.get("--spacing", "0.05"))};
+  config.rounds = static_cast<std::size_t>(
+      parse_u64_flag("--rounds", args.get("--rounds", "6")));
+  config.report_at = Duration{
+      parse_double_flag("--report-at", args.get("--report-at", "1.2"))};
   config.deadline =
-      Duration{num_flag("--deadline", get("--deadline", "15"))};
+      Duration{parse_double_flag("--deadline", args.get("--deadline", "15"))};
+
+  std::vector<double> offsets;
+  if (args.has("--offsets")) {
+    for (const std::string& part : split(args.get("--offsets"), ','))
+      offsets.push_back(parse_double_flag("--offsets", part));
+    if (offsets.size() != model.processor_count())
+      usage_fail("--offsets wants one value per agent");
+  }
 
   net::NetDaemon daemon(config);
   const net::NetDaemonReport report = daemon.run();
@@ -242,14 +234,7 @@ int run_multihost(const std::map<std::string, std::string>& flags,
       ok = false;
       realized_note = "offline recompute mismatch";
     }
-    if (flags.count("--offsets") != 0) {
-      std::vector<double> offsets;
-      for (const std::string& part : split_csv(flags.at("--offsets")))
-        offsets.push_back(num_flag("--offsets", part));
-      if (offsets.size() != report.corrections.size()) {
-        std::fprintf(stderr, "cs_syncd: --offsets wants one value per agent\n");
-        return kExitUsage;
-      }
+    if (!offsets.empty()) {
       // Ground truth: corrected clock spread max_p (x_p - S_p) - min_p.
       double lo = report.corrections[0] - offsets[0];
       double hi = lo;
@@ -267,28 +252,19 @@ int run_multihost(const std::map<std::string, std::string>& flags,
     }
   }
 
-  if (flags.count("--json") != 0) {
+  if (args.on("--json")) {
     std::string out = "{\"mode\": \"multihost\"";
     out += ", \"id\": " + std::to_string(config.id);
     out += ", \"leader\": " + std::to_string(config.leader);
-    out += ", \"converged\": ";
-    out += report.converged ? "true" : "false";
-    if (is_leader) {
-      out += ", \"computed\": ";
-      out += report.computed ? "true" : "false";
-    }
-    if (report.detected) out += ", \"detected\": true";
-    if (report.window_violation) out += ", \"window_violation\": true";
+    out += ", \"converged\": " + jbool(report.converged);
+    out += ", \"computed\": " + jbool(report.computed);
+    out += ", \"detected\": " + jbool(report.detected);
+    out += ", \"window_violation\": " + jbool(report.window_violation);
     if (report.converged) {
-      out += ", \"precision\": " + text::format_double(report.precision);
-      out += ", \"corrections\": [";
-      for (std::size_t p = 0; p < report.corrections.size(); ++p) {
-        if (p > 0) out += ", ";
-        text::append_double(out, report.corrections[p]);
-      }
-      out += "]";
+      out += ", \"precision\": " + jnum(report.precision);
+      out += ", \"corrections\": " + jarray(report.corrections);
     }
-    if (realized) out += ", \"realized\": " + text::format_double(*realized);
+    if (realized) out += ", \"realized\": " + jnum(*realized);
     out += ", \"probes_sent\": " + std::to_string(report.probes_sent);
     out += ", \"observations\": " +
            std::to_string(report.probe_obs + report.echo_obs);
@@ -302,15 +278,13 @@ int run_multihost(const std::map<std::string, std::string>& flags,
       for (std::size_t j = 0; j < r.dirs.size(); ++j) {
         const net::DirectionExtremes& d = r.dirs[j];
         if (j > 0) out += ", ";
-        out += "[" + std::to_string(d.peer) + ", " +
-               text::format_double(d.dmin) + ", " +
-               text::format_double(d.dmax) + ", " + std::to_string(d.count) +
-               "]";
+        out += "[" + std::to_string(d.peer) + ", " + jnum(d.dmin) + ", " +
+               jnum(d.dmax) + ", " + std::to_string(d.count) + "]";
       }
       out += "]}";
     }
     out += "]";
-    if (!realized_note.empty()) out += ", \"error\": \"" + realized_note + "\"";
+    if (!realized_note.empty()) out += ", \"error\": " + jstr(realized_note);
     out += "}";
     std::printf("%s\n", out.c_str());
   } else {
@@ -338,263 +312,230 @@ int run_multihost(const std::map<std::string, std::string>& flags,
   return ok ? kExitOk : kExitDivergence;
 }
 
+/// The live report as JSON: one schema, docs/RUNTIME.md §8.
+std::string live_json(const LiveReport& report, std::uint64_t seed) {
+  std::string out = "{\"transport\": " + jstr(report.transport);
+  out += ", \"agents\": " + std::to_string(report.agents);
+  out += ", \"seed\": " + std::to_string(seed);
+  out += ", \"converged\": " + jbool(report.converged);
+  out += ", \"checked\": " + jbool(report.checked);
+  out += ", \"all_match\": " + jbool(report.all_match);
+  out += ", \"byzantine\": " + jbool(report.byzantine);
+  out += ", \"byz_liars\": " + std::to_string(report.byz_liars);
+  out += ", \"detected_epochs\": " + std::to_string(report.detected_epochs);
+  out += ", \"dispatched\": " + std::to_string(report.dispatched);
+  out += ", \"resync_period\": " + jnum(report.resync_period.sec);
+  out += ", \"resync_epochs\": " + std::to_string(report.resync_epochs);
+  out += ", \"resync_clamped\": " + jbool(report.resync_clamped);
+  out += ", \"epochs\": [";
+  for (std::size_t k = 0; k < report.epochs.size(); ++k) {
+    const LiveEpochReport& ep = report.epochs[k];
+    const auto add_if_set = [&](const char* key,
+                                const std::optional<double>& v) {
+      if (v) out += std::string(", \"") + key + "\": " + jnum(*v);
+    };
+    if (k > 0) out += ", ";
+    out += "{\"epoch\": " + std::to_string(ep.epoch);
+    out += ", \"boundary\": " + jnum(ep.boundary.sec);
+    out += ", \"computed\": " + jbool(ep.claimed_precision.has_value());
+    out += ", \"detected\": " + jbool(ep.detected);
+    out += ", \"degraded\": " + jbool(ep.degraded);
+    out += ", \"matches_offline\": " + jbool(ep.matches_offline);
+    add_if_set("precision", ep.claimed_precision);
+    add_if_set("drift_bound", ep.drift_bound);
+    add_if_set("realized", ep.realized_precision);
+    add_if_set("realized_intra", ep.realized_intra);
+    add_if_set("realized_cross", ep.realized_cross);
+    add_if_set("offline_precision", ep.offline_precision);
+    out += ", \"reports\": " + std::to_string(ep.reports_absorbed);
+    out += ", \"acks\": " + std::to_string(ep.acks);
+    out += ", \"corrections\": " + jarray(ep.corrections) + "}";
+  }
+  return out + "], \"metrics\": " + report.metrics.to_json(0) + "}";
+}
+
+/// Default mode: n in-process agents over a live transport (run_live).
+int cmd_live(const Args& args) {
+  const std::uint64_t seed = parse_u64_flag("--seed", args.get("--seed", "1"));
+  const SystemModel model = agent_model(args, seed);
+
+  LiveConfig config;
+  config.seed = seed;
+  config.skew = parse_double_flag("--skew", args.get("--skew", "0.05"));
+  const std::string transport = args.get("--transport", "loopback");
+  if (transport == "loopback")
+    config.transport = LiveTransportKind::kLoopback;
+  else if (transport == "loopback-threaded")
+    config.transport = LiveTransportKind::kLoopbackThreaded;
+  else if (transport == "udp")
+    config.transport = LiveTransportKind::kUdp;
+  else
+    usage_fail("--transport must be loopback, loopback-threaded or udp, "
+               "got '" + transport + "'");
+  config.delay_scale = parse_double_flag(
+      "--delay-scale", args.get("--delay-scale", "0.01"));
+  config.drop_probability =
+      parse_double_flag("--drop", args.get("--drop", "0"));
+  config.udp.bind_address = args.get("--bind", "127.0.0.1");
+  config.trace_path = args.get("--trace", "");
+  config.offline_check = !args.on("--no-check");
+  config.deadline =
+      Duration{parse_double_flag("--deadline", args.get("--deadline", "30"))};
+  config.agent.warmup =
+      Duration{parse_double_flag("--warmup", args.get("--warmup", "0.2"))};
+  config.agent.spacing =
+      Duration{parse_double_flag("--spacing", args.get("--spacing", "0.05"))};
+  config.agent.rounds = static_cast<std::size_t>(
+      parse_u64_flag("--rounds", args.get("--rounds", "4")));
+  config.agent.report_at = Duration{
+      parse_double_flag("--report-at", args.get("--report-at", "1"))};
+  config.agent.period =
+      Duration{parse_double_flag("--period", args.get("--period", "1"))};
+  config.agent.epochs = static_cast<std::size_t>(
+      parse_u64_flag("--epochs", args.get("--epochs", "2")));
+  config.agent.grace =
+      Duration{parse_double_flag("--grace", args.get("--grace", "0"))};
+  config.agent.leader = static_cast<ProcessorId>(
+      parse_u64_flag("--leader", args.get("--leader", "0")));
+  config.drift.rho =
+      parse_double_flag("--drift-ppm", args.get("--drift-ppm", "0")) * 1e-6;
+  config.drift.slack =
+      parse_double_flag("--drift-slack", args.get("--drift-slack", "0"));
+  if ((config.drift.rho > 0.0) != (config.drift.slack > 0.0))
+    usage_fail("--drift-ppm and --drift-slack go together");
+  if (args.has("--byz-plan"))
+    config.byz = byz::parse_byz_plan(args.get("--byz-plan"));
+
+  std::optional<ZonePlan> zone_plan;
+  if (args.has("--zones")) {
+    const auto target = static_cast<std::size_t>(
+        parse_u64_flag("--zones", args.get("--zones")));
+    if (target == 0) usage_fail("--zones wants a target zone size >= 1");
+    zone_plan = greedy_bfs_zones(model.topology(), target);
+    config.zones = &*zone_plan;
+  }
+
+  const LiveReport report = run_live(model, config);
+  // A detected epoch is a synchronization outage: the leader rejected the
+  // traffic as inadmissible (wrong bounds or a lying agent) and computed
+  // no corrections.  That is a failure exit, same as the lab's --check.
+  const bool ok = report.converged && report.detected_epochs == 0 &&
+                  (!report.checked || report.all_match);
+
+  if (args.on("--json")) {
+    std::printf("%s\n", live_json(report, seed).c_str());
+    return ok ? kExitOk : kExitDivergence;
+  }
+
+  std::printf("cs_syncd: %zu agents over %s (%zu events)%s\n",
+              report.agents, report.transport.c_str(), report.dispatched,
+              report.timed_out ? ", deadline hit" : "");
+  if (report.byzantine)
+    std::printf("  byzantine: %zu lying agent%s (%s); offline cross-check "
+                "skipped\n",
+                report.byz_liars, report.byz_liars == 1 ? "" : "s",
+                config.byz.describe().c_str());
+  if (config.drift.active())
+    std::printf("  drift budget: rho %s, slack %s -> period %s, %zu "
+                "epochs%s\n",
+                text::format_double(config.drift.rho).c_str(),
+                text::format_double(config.drift.slack).c_str(),
+                text::format_double(report.resync_period.sec).c_str(),
+                report.resync_epochs,
+                report.resync_clamped ? " (clamped)" : "");
+  for (const LiveEpochReport& ep : report.epochs) {
+    if (!ep.claimed_precision.has_value()) {
+      std::printf("  epoch %zu: not computed (%zu/%zu reports)\n", ep.epoch,
+                  ep.reports_absorbed, report.agents);
+      continue;
+    }
+    if (ep.detected) {
+      std::printf("  epoch %zu: DETECTED — traffic inadmissible under the "
+                  "declared assumptions; no corrections\n",
+                  ep.epoch);
+      continue;
+    }
+    std::string extra;
+    if (ep.drift_bound)
+      extra += " drift-bound " + text::format_double(*ep.drift_bound);
+    if (ep.realized_intra && ep.realized_cross)
+      extra += " intra " + text::format_double(*ep.realized_intra) +
+               " cross " + text::format_double(*ep.realized_cross);
+    if (ep.degraded) extra += " (degraded)";
+    if (ep.offline_precision)
+      extra += " offline " + text::format_double(*ep.offline_precision) +
+               (ep.matches_offline ? " match" : " MISMATCH");
+    std::printf("  epoch %zu: precision %s realized %s%s\n", ep.epoch,
+                text::format_double(*ep.claimed_precision).c_str(),
+                ep.realized_precision
+                    ? text::format_double(*ep.realized_precision).c_str()
+                    : "?",
+                extra.c_str());
+  }
+  std::printf("%s\n", ok ? "converged"
+                         : report.detected_epochs > 0
+                               ? "DETECTED: inadmissible traffic"
+                               : "NOT CONVERGED or mismatch");
+  return ok ? kExitOk : kExitDivergence;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "help") {
-      print_usage(stdout);
-      return kExitOk;
-    }
-    if (arg == "--version") {
-      std::printf("%s\n", kVersionBanner);
-      return kExitOk;
-    }
-    if (arg == "--json" || arg == "--no-check" || arg == "--serve") {
-      flags[arg] = "1";
-      continue;
-    }
-    if (arg.rfind("--", 0) != 0 || i + 1 >= argc) {
-      std::fprintf(stderr, "cs_syncd: unknown or valueless flag '%s'\n",
-                   arg.c_str());
-      print_usage(stderr);
-      return kExitUsage;
-    }
-    flags[arg] = argv[++i];
-  }
-
-  // Each mode accepts exactly the flags its code reads, so nothing on the
-  // command line is silently ignored.
-  const std::string mode = flags.count("--serve") != 0   ? "--serve"
-                           : flags.count("--peers") != 0 ? "--peers"
-                                                         : "live";
-  std::set<std::string> accepted{"--json"};
-  if (mode == "--serve") {
-    accepted.insert({"--serve", "--listen", "--id", "--max-sessions",
-                     "--idle-timeout", "--serve-seconds"});
-  } else {
-    // Both agent modes build the model and run the probe schedule.
-    accepted.insert({"--seed", "--model", "--n", "--topology", "--lower",
-                     "--upper", "--warmup", "--spacing", "--rounds",
-                     "--report-at", "--leader", "--deadline"});
-    if (mode == "--peers")
-      accepted.insert({"--peers", "--id", "--listen", "--base",
-                       "--start-offset", "--offsets"});
-    else
-      accepted.insert({"--skew", "--transport", "--delay-scale", "--drop",
-                       "--bind", "--trace", "--no-check", "--period",
-                       "--epochs", "--grace", "--drift-ppm", "--drift-slack",
-                       "--byz-plan", "--zones"});
-  }
-  for (const auto& flag : flags) {
-    if (accepted.count(flag.first) != 0) continue;
-    std::fprintf(stderr, "cs_syncd: unknown flag '%s' for %s mode\n",
-                 flag.first.c_str(), mode.c_str());
-    print_usage(stderr);
-    return kExitUsage;
-  }
-  const auto get = [&](const std::string& name, const std::string& fallback) {
-    const auto it = flags.find(name);
-    return it == flags.end() ? fallback : it->second;
+  const auto given = [&](const char* word) {
+    return std::any_of(argv + 1, argv + argc, [&](const char* arg) {
+      return std::strcmp(arg, word) == 0;
+    });
   };
-
+  if (given("--help") || given("help")) {
+    print_usage(stdout);
+    return kExitOk;
+  }
+  if (given("--version")) {
+    std::printf("%s\n", kVersionBanner);
+    return kExitOk;
+  }
+  const std::string mode = given("--serve")   ? "--serve"
+                           : given("--peers") ? "--peers"
+                                              : "live";
   try {
-    if (flags.count("--serve") != 0) return run_serve(flags, get);
-
-    const auto seed =
-        static_cast<std::uint64_t>(num_flag("--seed", get("--seed", "1")));
-    Rng rng(seed);
-    SystemModel model = [&] {
-      if (flags.count("--model") != 0)
-        return load_model_file(flags.at("--model"));
-      const auto n = static_cast<std::size_t>(
-          num_flag("--n", get("--n", "8")));
-      SystemModel m(make_named(get("--topology", "complete"), n, rng));
-      const double lower = num_flag("--lower", get("--lower", "0"));
-      const double upper = num_flag("--upper", get("--upper", "1"));
-      for (auto [a, b] : m.topology().links)
-        m.set_constraint(make_bounds(a, b, lower, upper));
-      return m;
-    }();
-
-    if (flags.count("--peers") != 0) return run_multihost(flags, get, model);
-
-    LiveConfig config;
-    config.seed = seed;
-    config.skew = num_flag("--skew", get("--skew", "0.05"));
-    const std::string transport = get("--transport", "loopback");
-    if (transport == "loopback") {
-      config.transport = LiveTransportKind::kLoopback;
-    } else if (transport == "loopback-threaded") {
-      config.transport = LiveTransportKind::kLoopbackThreaded;
-    } else if (transport == "udp") {
-      config.transport = LiveTransportKind::kUdp;
-    } else {
-      std::fprintf(stderr, "cs_syncd: unknown transport '%s'\n",
-                   transport.c_str());
-      return kExitUsage;
-    }
-    config.delay_scale =
-        num_flag("--delay-scale", get("--delay-scale", "0.01"));
-    config.drop_probability = num_flag("--drop", get("--drop", "0"));
-    config.udp.bind_address = get("--bind", "127.0.0.1");
-    config.trace_path = get("--trace", "");
-    config.offline_check = flags.count("--no-check") == 0;
-    config.deadline = Duration{num_flag("--deadline", get("--deadline", "30"))};
-    config.agent.warmup = Duration{num_flag("--warmup", get("--warmup", "0.2"))};
-    config.agent.spacing =
-        Duration{num_flag("--spacing", get("--spacing", "0.05"))};
-    config.agent.rounds =
-        static_cast<std::size_t>(num_flag("--rounds", get("--rounds", "4")));
-    config.agent.report_at =
-        Duration{num_flag("--report-at", get("--report-at", "1"))};
-    config.agent.period = Duration{num_flag("--period", get("--period", "1"))};
-    config.agent.epochs =
-        static_cast<std::size_t>(num_flag("--epochs", get("--epochs", "2")));
-    config.agent.grace = Duration{num_flag("--grace", get("--grace", "0"))};
-    config.agent.leader =
-        static_cast<ProcessorId>(num_flag("--leader", get("--leader", "0")));
-    config.drift.rho =
-        num_flag("--drift-ppm", get("--drift-ppm", "0")) * 1e-6;
-    config.drift.slack =
-        num_flag("--drift-slack", get("--drift-slack", "0"));
-    if ((config.drift.rho > 0.0) != (config.drift.slack > 0.0)) {
-      std::fprintf(stderr,
-                   "cs_syncd: --drift-ppm and --drift-slack go together\n");
-      return kExitUsage;
-    }
-    if (flags.count("--byz-plan") != 0)
-      config.byz = byz::parse_byz_plan(flags.at("--byz-plan"));
-
-    std::optional<ZonePlan> zone_plan;
-    if (flags.count("--zones") != 0) {
-      const auto target = static_cast<std::size_t>(
-          num_flag("--zones", flags.at("--zones")));
-      if (target == 0) {
-        std::fprintf(stderr, "cs_syncd: --zones expects a size >= 1\n");
-        return kExitUsage;
-      }
-      zone_plan = greedy_bfs_zones(model.topology(), target);
-      config.zones = &*zone_plan;
-    }
-
-    const LiveReport report = run_live(model, config);
-    // A detected epoch is a synchronization outage: the leader rejected the
-    // traffic as inadmissible (wrong bounds or a lying agent) and computed
-    // no corrections.  That is a failure exit, same as the lab's --check.
-    const bool ok = report.converged && report.detected_epochs == 0 &&
-                    (!report.checked || report.all_match);
-
-    if (flags.count("--json") != 0) {
-      std::string out = "{\"transport\": \"" + report.transport + "\"";
-      out += ", \"agents\": " + std::to_string(report.agents);
-      out += ", \"converged\": ";
-      out += report.converged ? "true" : "false";
-      out += ", \"all_match\": ";
-      out += report.checked ? (report.all_match ? "true" : "false") : "null";
-      if (report.byzantine) {
-        out += ", \"byzantine\": true, \"byz_liars\": " +
-               std::to_string(report.byz_liars);
-      }
-      if (report.detected_epochs > 0)
-        out += ", \"detected_epochs\": " +
-               std::to_string(report.detected_epochs);
-      if (config.drift.active()) {
-        out += ", \"resync_period\": " +
-               text::format_double(report.resync_period.sec);
-        out += ", \"resync_epochs\": " + std::to_string(report.resync_epochs);
-        out += ", \"resync_clamped\": ";
-        out += report.resync_clamped ? "true" : "false";
-      }
-      out += ", \"epochs\": [";
-      for (std::size_t k = 0; k < report.epochs.size(); ++k) {
-        const LiveEpochReport& ep = report.epochs[k];
-        if (k > 0) out += ", ";
-        out += "{\"epoch\": " + std::to_string(ep.epoch);
-        out += ", \"degraded\": ";
-        out += ep.degraded ? "true" : "false";
-        if (ep.detected) out += ", \"detected\": true";
-        if (ep.claimed_precision && std::isfinite(*ep.claimed_precision))
-          out += ", \"precision\": " +
-                 text::format_double(*ep.claimed_precision);
-        if (ep.drift_bound)
-          out += ", \"drift_bound\": " + text::format_double(*ep.drift_bound);
-        if (ep.realized_precision)
-          out += ", \"realized\": " +
-                 text::format_double(*ep.realized_precision);
-        if (ep.realized_intra)
-          out += ", \"realized_intra\": " +
-                 text::format_double(*ep.realized_intra);
-        if (ep.realized_cross)
-          out += ", \"realized_cross\": " +
-                 text::format_double(*ep.realized_cross);
-        out += ", \"corrections\": [";
-        for (std::size_t p = 0; p < ep.corrections.size(); ++p) {
-          if (p > 0) out += ", ";
-          text::append_double(out, ep.corrections[p]);
-        }
-        out += "]}";
-      }
-      out += "]}";
-      std::printf("%s\n", out.c_str());
-      return ok ? kExitOk : kExitDivergence;
-    }
-
-    std::printf("cs_syncd: %zu agents over %s (%zu events)%s\n",
-                report.agents, report.transport.c_str(), report.dispatched,
-                report.timed_out ? ", deadline hit" : "");
-    if (report.byzantine)
-      std::printf("  byzantine: %zu lying agent%s (%s); offline cross-check "
-                  "skipped\n",
-                  report.byz_liars, report.byz_liars == 1 ? "" : "s",
-                  config.byz.describe().c_str());
-    if (config.drift.active())
-      std::printf("  drift budget: rho %s, slack %s -> period %s, %zu "
-                  "epochs%s\n",
-                  text::format_double(config.drift.rho).c_str(),
-                  text::format_double(config.drift.slack).c_str(),
-                  text::format_double(report.resync_period.sec).c_str(),
-                  report.resync_epochs,
-                  report.resync_clamped ? " (clamped)" : "");
-    for (const LiveEpochReport& ep : report.epochs) {
-      if (!ep.claimed_precision.has_value()) {
-        std::printf("  epoch %zu: not computed (%zu/%zu reports)\n", ep.epoch,
-                    ep.reports_absorbed, report.agents);
-        continue;
-      }
-      if (ep.detected) {
-        std::printf("  epoch %zu: DETECTED — traffic inadmissible under the "
-                    "declared assumptions; no corrections\n",
-                    ep.epoch);
-        continue;
-      }
-      std::string split;
-      if (ep.drift_bound)
-        split += " drift-bound " + text::format_double(*ep.drift_bound);
-      if (ep.realized_intra && ep.realized_cross)
-        split += " intra " + text::format_double(*ep.realized_intra) +
-                 " cross " + text::format_double(*ep.realized_cross);
-      std::printf("  epoch %zu: precision %s realized %s%s%s%s\n", ep.epoch,
-                  text::format_double(*ep.claimed_precision).c_str(),
-                  ep.realized_precision
-                      ? text::format_double(*ep.realized_precision).c_str()
-                      : "?",
-                  split.c_str(), ep.degraded ? " (degraded)" : "",
-                  report.checked
-                      ? (ep.matches_offline ? " [offline match]"
-                                            : " [OFFLINE MISMATCH]")
-                      : "");
-    }
-    std::printf("%s\n", ok ? "converged"
-                           : report.detected_epochs > 0
-                                 ? "DETECTED: inadmissible traffic"
-                                 : "NOT CONVERGED or mismatch");
-    return ok ? kExitOk : kExitDivergence;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "cs_syncd: error: %s\n", e.what());
-    return kExitError;
+    // Each mode accepts exactly the flags its code reads, so nothing on the
+    // command line is silently ignored.
+    struct Mode {
+      int (*run)(const Args&);
+      FlagSet flags;
+    };
+    const std::map<std::string, Mode> modes{
+        {"--serve",
+         {cmd_serve,
+          {{"--listen", "--id", "--max-sessions", "--idle-timeout",
+            "--serve-seconds"},
+           {"--serve", "--json"}}}},
+        {"--peers",
+         {cmd_peers,
+          {{"--seed", "--model", "--n", "--topology", "--lower", "--upper",
+            "--warmup", "--spacing", "--rounds", "--report-at", "--leader",
+            "--deadline", "--peers", "--id", "--listen", "--base",
+            "--start-offset", "--offsets"},
+           {"--json"}}}},
+        {"live",
+         {cmd_live,
+          {{"--seed", "--model", "--n", "--topology", "--lower", "--upper",
+            "--warmup", "--spacing", "--rounds", "--report-at", "--leader",
+            "--deadline", "--skew", "--transport", "--delay-scale", "--drop",
+            "--bind", "--trace", "--period", "--epochs", "--grace",
+            "--drift-ppm", "--drift-slack", "--byz-plan", "--zones"},
+           {"--json", "--no-check"}}}},
+    };
+    const Mode& m = modes.at(mode);
+    const Args args(mode + " mode", argc - 1, argv + 1, m.flags);
+    if (!args.positional().empty())
+      usage_fail("unexpected argument '" + args.positional()[0] + "'");
+    return m.run(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "cs_syncd: usage error: %s\n", e.message.c_str());
+    std::fprintf(stderr, "run 'cs_syncd --help' for the flag reference\n");
+    return kExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cs_syncd: error: %s\n", e.what());
     return kExitError;
