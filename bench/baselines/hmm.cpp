@@ -30,6 +30,7 @@ SyncOutcome hmm_one_shot(const SystemModel& model, std::span<const View> views,
   out.optimal_precision = shifts.a_max;
   out.components = std::move(shifts.components);
   out.component_precision = std::move(shifts.component_a_max);
+  out.critical_cycle = std::move(shifts.critical_cycle);
   return out;
 }
 

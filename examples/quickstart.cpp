@@ -10,7 +10,6 @@
 
 #include <cstdio>
 
-#include "core/critical_cycle.hpp"
 #include "core/precision.hpp"
 #include "core/synchronizer.hpp"
 #include "proto/ping_pong.hpp"
@@ -59,8 +58,7 @@ int main() {
 
   // Which processors limit the precision?  The critical cycle names them:
   // tightening the delay knowledge on its links is the only way to improve.
-  const auto cycle =
-      critical_cycle(sync.ms_estimates, sync.optimal_precision.value());
+  const std::vector<NodeId>& cycle = sync.critical_cycle;
   std::printf("critical cycle     : ");
   for (std::size_t i = 0; i < cycle.size(); ++i)
     std::printf("p%u%s", cycle[i], i + 1 < cycle.size() ? " -> " : "");

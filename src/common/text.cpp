@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -49,6 +50,13 @@ std::optional<std::uint64_t> parse_u64(std::string_view tok) {
   const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
   if (ec != std::errc{} || ptr != end) return std::nullopt;
   return v;
+}
+
+std::optional<std::uint32_t> parse_id(std::string_view tok) {
+  const std::optional<std::uint64_t> v = parse_u64(tok);
+  if (!v || *v > std::numeric_limits<std::uint32_t>::max())
+    return std::nullopt;
+  return static_cast<std::uint32_t>(*v);
 }
 
 LineReader::LineReader(std::istream& is, std::string context)
@@ -104,6 +112,12 @@ double LineReader::number(std::string_view tok) const {
 std::uint64_t LineReader::u64(std::string_view tok) const {
   const std::optional<std::uint64_t> v = parse_u64(tok);
   if (!v) fail("bad unsigned integer '" + std::string(tok) + "'");
+  return *v;
+}
+
+std::uint32_t LineReader::id(std::string_view tok) const {
+  const std::optional<std::uint32_t> v = parse_id(tok);
+  if (!v) fail("bad processor id '" + std::string(tok) + "'");
   return *v;
 }
 

@@ -33,6 +33,9 @@ std::optional<double> parse_number(std::string_view tok);
 /// The whole of `tok` as an unsigned decimal integer (digits only, no
 /// sign); anything else and overflow give nullopt.
 std::optional<std::uint64_t> parse_u64(std::string_view tok);
+/// parse_u64(tok) when it fits a 32-bit processor id, else nullopt: an id
+/// of 2^32 or more is refused before it could narrow onto a valid one.
+std::optional<std::uint32_t> parse_id(std::string_view tok);
 
 /// Line-by-line reader of a text document.  Each advance reads one line
 /// into a reused buffer and splits it at ASCII whitespace; tokens are views
@@ -62,6 +65,8 @@ class LineReader {
   double number(std::string_view tok) const;
   /// parse_u64(tok), or fail as "bad unsigned integer '<tok>'".
   std::uint64_t u64(std::string_view tok) const;
+  /// parse_id(tok), or fail as "bad processor id '<tok>'".
+  std::uint32_t id(std::string_view tok) const;
   /// u64(tok) for a count that sizes memory before the lines it counts
   /// arrive: a value above `limit` fails as
   /// "count '<tok>' exceeds the limit <limit>".

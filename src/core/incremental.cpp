@@ -47,6 +47,7 @@ SyncOutcome IncrementalSynchronizer::step_mls(Digraph mls_graph) {
   out.optimal_precision = shifts.a_max;
   out.components = std::move(shifts.components);
   out.component_precision = std::move(shifts.component_a_max);
+  out.critical_cycle = std::move(shifts.critical_cycle);
   metrics_increment(metrics, "pipeline.incremental_steps");
   return out;
 }

@@ -3,17 +3,13 @@
 #include <set>
 #include <sstream>
 
-#include "core/critical_cycle.hpp"
-
 namespace cs {
 namespace {
 
 /// Ordered pairs (from, to) on the critical cycle.
 std::set<std::pair<NodeId, NodeId>> critical_edges(const SyncOutcome& out) {
   std::set<std::pair<NodeId, NodeId>> edges;
-  if (!out.bounded()) return edges;
-  const auto cycle =
-      critical_cycle(out.ms_estimates, out.optimal_precision.finite());
+  const std::vector<NodeId>& cycle = out.critical_cycle;
   for (std::size_t i = 0; i < cycle.size(); ++i)
     edges.emplace(cycle[i], cycle[(i + 1) % cycle.size()]);
   return edges;

@@ -101,7 +101,7 @@ Digraph quorum_validated_mls(const Digraph& mls, const RobustOptions& options,
     while (!frontier.empty()) {
       const NodeId u = frontier.front();
       frontier.pop_front();
-      if (depth[u] >= options.quorum_hops) continue;
+      if (depth[u] >= kQuorumHops) continue;
       for (NodeId v : adj[u]) {
         if (seen[v] || banned[v]) continue;
         if (u == p && v == q) continue;  // the direct hop under test

@@ -47,6 +47,10 @@
 
 namespace cs {
 
+/// Hop limit for quorum validation's alternative paths (path length in
+/// edges).
+inline constexpr std::size_t kQuorumHops = 4;
+
 struct RobustOptions {
   /// MAD-gated trimming of per-direction d̃ observations before the
   /// extreme folds.
@@ -67,9 +71,6 @@ struct RobustOptions {
   /// quorum_tolerance · (h + 1).  Calibrate to the honest per-edge slack
   /// (the d̃ sampling width; docs/BYZ.md).
   double quorum_tolerance{0.0};
-
-  /// Hop limit for alternative paths (path length in edges).
-  std::size_t quorum_hops{4};
 
   bool active() const { return trim || quorum > 0; }
 };

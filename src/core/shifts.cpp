@@ -58,13 +58,75 @@ std::span<double> shortest_path_corrections(const double* ms, std::size_t k,
   return dist;
 }
 
-/// The Thm 4.6 certificate for one component: ρ̄(x) = max m̃s(i,j) − x_i +
-/// x_j must not exceed a_max beyond `epsilon`.  Thm 4.4 gives ρ̄(x) >=
-/// A^max for any x, so passing also certifies that a_max is the maximum
-/// cycle mean to within epsilon.  The negated comparison catches NaN.
+/// A cycle of Howard's converged policy, as processor ids in policy order,
+/// and its mean m̃s weight.
+struct PolicyCycle {
+  std::vector<NodeId> nodes;
+  double mean{0.0};
+};
+
+/// The policy cycle of largest mean (the first on a tie), by one walk of the
+/// functional graph: walks start at 0, 1, ... and stop at the first node
+/// already seen; a walk that meets itself has entered a new cycle at that
+/// node.  Each cycle is summed from that entry node on, in the order
+/// Howard's value determination sums it, so the best mean equals Howard's
+/// reported mean bit for bit.  O(k).
+PolicyCycle heaviest_policy_cycle(const double* ms, std::size_t k,
+                                  std::span<const NodeId> policy,
+                                  const std::vector<NodeId>& members,
+                                  EpochArena& arena) {
+  std::span<std::uint32_t> walk = arena.alloc_fill<std::uint32_t>(k, 0);
+  std::size_t head = 0, length = 0;
+  double best = 0.0;
+  for (std::size_t start = 0; start < k; ++start) {
+    const auto stamp = static_cast<std::uint32_t>(start + 1);
+    std::size_t u = start;
+    while (walk[u] == 0) {
+      walk[u] = stamp;
+      u = policy[u];
+    }
+    if (walk[u] != stamp) continue;  // joined an earlier walk
+    double total = 0.0;
+    std::size_t m = 0;
+    std::size_t x = u;
+    do {
+      total += ms[x * k + policy[x]];
+      ++m;
+      x = policy[x];
+    } while (x != u);
+    const double mean = total / static_cast<double>(m);
+    if (length == 0 || mean > best) {
+      head = u;
+      length = m;
+      best = mean;
+    }
+  }
+  PolicyCycle theta{std::vector<NodeId>(length), best};
+  for (std::size_t i = 0, u = head; i < length; ++i, u = policy[u])
+    theta.nodes[i] = members[u];
+  return theta;
+}
+
+/// Both halves of the certificate for one component, with critical cycle θ
+/// and corrections x.  Upper: ρ̄(x) = max m̃s(i,j) − x_i + x_j <= a_max + ε.
+/// Lower: θ's mean >= a_max − ε, which holds for every x because x cancels
+/// around a cycle.  Thm 4.4 gives ρ̄(x) >= A^max >= θ's mean, so passing
+/// certifies |a_max − A^max| <= ε and ρ̄(x) <= A^max + 2ε: the cycle mean
+/// is right and x optimal.  The negated comparisons catch NaN.
 void check_certificate(const double* ms, std::size_t k,
                        std::span<const double> x, double a_max,
-                       double epsilon, const std::vector<NodeId>& members) {
+                       double epsilon, const std::vector<NodeId>& members,
+                       const PolicyCycle& theta) {
+  if (!(theta.mean >= a_max - epsilon)) {
+    std::ostringstream msg;
+    msg.precision(17);
+    msg << "SHIFTS: critical cycle certificate failed: the mean "
+        << theta.mean << " of the cycle";
+    for (const NodeId p : theta.nodes) msg << " p" << p;
+    msg << " falls below Ã^max = " << a_max << " by more than the float "
+        << "tolerance " << epsilon << "; the cycle mean is wrong";
+    throw Error(msg.str());
+  }
   const double bound = a_max + epsilon;
   for (std::size_t i = 0; i < k; ++i) {
     const double* row = ms + i * k;
@@ -165,10 +227,14 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
           : 0;
   const std::span<const double> x =
       shortest_path_corrections(w.data(), k, root, a_max, hr.value, arena);
-  check_certificate(w.data(), k, x, a_max,
-                    options.tolerance_scale * std::max(1.0, std::fabs(a_max)),
-                    members);
+  PolicyCycle theta =
+      heaviest_policy_cycle(w.data(), k, policy_local, members, arena);
+  check_certificate(w.data(), k, x, a_max, shifts_epsilon(a_max), members,
+                    theta);
   for (std::size_t i = 0; i < k; ++i) res.corrections[members[i]] = x[i];
+  // A bounded instance is one component, so only it writes θ.
+  if (res.components.component_count == 1)
+    res.critical_cycle = std::move(theta.nodes);
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 //      iteration; its converged value vector v is a feasible potential,
 //      v_q − v_p <= Ã^max − m̃s(p,q) for every pair.
 //   2. correction(p) = dist_w(root, p) under w(p,q) = Ã^max − m̃s(p,q), by
-//      one dense Dijkstra on the reweighting w(p,q) + v_p − v_q >= 0, then
-//      checked against the Thm 4.6 certificate ρ̄(x) <= Ã^max.
+//      one dense Dijkstra on the reweighting w(p,q) + v_p − v_q >= 0.
+//   3. The critical cycle θ: of the converged policy's cycles, the one of
+//      largest m̃s mean.  Both halves of the Thm 4.4/4.6 certificate are
+//      checked: ρ̄(x) <= Ã^max (upper) and Σ_θ m̃s / |θ| >= Ã^max (lower;
+//      it holds for every x, as x cancels around a cycle).
 //
-// On a component of k processors, step 1 costs O(k²) per Howard iteration
-// and step 2 O(k²) in all; the argument is in docs/THEORY.md.
+// On a component of k processors, step 1 costs O(k²) per Howard iteration,
+// step 2 O(k²) in all and step 3 O(k); the argument is in docs/THEORY.md.
 //
 // Unbounded instances: if some pair's m̃s is +inf, A^max = +inf — no finite
 // precision can be guaranteed across that pair (§3's motivation).  SHIFTS
@@ -23,6 +26,8 @@
 // optimality is preserved.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/extreal.hpp"
@@ -53,23 +58,33 @@ struct ShiftsResult {
   /// epoch.
   std::vector<NodeId> policy;
 
+  /// A critical cycle θ = p_0 -> ... -> p_{m-1} -> p_0 of a bounded
+  /// instance: its mean m̃s weight is Ã^max (§4.3), so it names the pairs
+  /// that limit the precision.  Empty when unbounded or n = 1.
+  std::vector<NodeId> critical_cycle;
+
   bool bounded() const { return a_max.is_finite(); }
 };
+
+/// Relative scale of the certificate tolerance.  Each component must meet
+/// Σ_θ m̃s / |θ| >= Ã^max − ε and max m̃s(p,q) − x_p + x_q <= Ã^max + ε with
+/// ε = shifts_epsilon(Ã^max), else compute_shifts throws cs::Error
+/// (DESIGN.md "Numeric tolerance contract").  The critical cycle has weight
+/// exactly 0 under w = Ã^max − m̃s, so float rounding leaves the upper half
+/// a few ulps off; anything beyond ε proves the m̃s matrix inconsistent or
+/// the cycle mean wrong.
+inline constexpr double kShiftsTolerance = 1e-9;
+
+/// The certificate's ε for a component of optimum `a_max`.
+inline double shifts_epsilon(double a_max) {
+  return kShiftsTolerance * std::max(1.0, std::fabs(a_max));
+}
 
 struct ShiftsOptions {
   /// Breaks the additive-constant gauge freedom; any root yields corrections
   /// differing by a per-component constant, which does not affect pairwise
   /// precision.
   NodeId root{0};
-
-  /// Relative scale of the Thm 4.6 certificate tolerance: the corrections x
-  /// of a component must satisfy max m̃s(p,q) − x_p + x_q <= Ã^max +
-  /// tolerance_scale * max(1, |Ã^max|), else compute_shifts throws
-  /// cs::Error (DESIGN.md "Numeric tolerance contract").  The critical
-  /// cycle has weight exactly 0 under w = Ã^max − m̃s, so float rounding
-  /// leaves the certificate a few ulps off; anything beyond the tolerance
-  /// proves the m̃s matrix inconsistent or the cycle mean wrong.
-  double tolerance_scale{1e-9};
 
   /// Previous epoch's ShiftsResult::policy to warm-start Howard's policy
   /// iteration (nullptr = cold start).  The corrections do not depend on
@@ -101,8 +116,8 @@ struct ShiftsOptions {
 /// `ms` is the m̃s matrix from global_shift_estimates (diagonal 0, +inf for
 /// unconstrained pairs).  Throws cs::Error on malformed input (NaN entries,
 /// a finiteness component that is not a shortest-path closure), when
-/// Howard exits on its iteration backstop, and when the Thm 4.6
-/// certificate fails beyond the tolerance.
+/// Howard exits on its iteration backstop, and when either half of the
+/// certificate fails beyond ε.
 ShiftsResult compute_shifts(const DistanceMatrix& ms,
                             const ShiftsOptions& options);
 

@@ -36,6 +36,7 @@ SyncOutcome synchronize_mls(Digraph mls_graph, const SyncOptions& options) {
   out.optimal_precision = shifts.a_max;
   out.components = std::move(shifts.components);
   out.component_precision = std::move(shifts.component_a_max);
+  out.critical_cycle = std::move(shifts.critical_cycle);
   metrics_increment(options.metrics, "pipeline.runs");
   return out;
 }

@@ -53,6 +53,11 @@ struct SyncOutcome {
   SccResult components;
   std::vector<double> component_precision;
 
+  /// A critical cycle of a bounded instance, as SHIFTS found it: the
+  /// processors whose pairwise shift estimates bind the precision
+  /// (ShiftsResult::critical_cycle).  Empty when unbounded or n = 1.
+  std::vector<NodeId> critical_cycle;
+
   /// Intermediate products, exposed for inspection, evaluation and tests.
   Digraph mls_graph;
   DistanceMatrix ms_estimates;

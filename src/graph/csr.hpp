@@ -4,17 +4,17 @@
 // (graph/incremental_apsp.hpp) build their reweighted adjacency as flat
 // arrays carved from an EpochArena — arcs grouped by source, indexed by a
 // row-pointer array — and run Dijkstra over a non-owning view of them.
-// dijkstra_csr equals dijkstra() (graph/dijkstra.hpp) exactly, which the
-// property test tests/graph/csr_test.cpp enforces on golden models and
-// random instances.
+// dijkstra_csr equals the Digraph Dijkstra oracle (tests/oracles) exactly,
+// which the property test tests/graph/csr_test.cpp enforces on golden
+// models and random instances.
 #pragma once
 
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "graph/bellman_ford.hpp"
 #include "graph/digraph.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 
@@ -32,9 +32,9 @@ struct CsrView {
 };
 
 /// Dijkstra distances (non-negative weights) into `dist` (size n, filled
-/// with kInfDist/0).  `heap` is reusable scratch.  Exactly equal to
-/// dijkstra()'s distances: each settled value is the exact float min over
-/// its candidate predecessor sums, independent of tie order.
+/// with kInfDist/0).  `heap` is reusable scratch.  Exactly equal to the
+/// oracle's distances: each settled value is the exact float min over its
+/// candidate predecessor sums, independent of tie order.
 void dijkstra_csr(const CsrView& g, NodeId source, std::span<double> dist,
                   std::vector<std::pair<double, NodeId>>& heap);
 

@@ -3,12 +3,15 @@
 // consumes them (core/shifts.hpp).
 #pragma once
 
+#include <limits>
 #include <vector>
 
-#include "graph/bellman_ford.hpp"
 #include "graph/digraph.hpp"
 
 namespace cs {
+
+/// Distance of an unreachable node; an m̃s entry no estimate bounds.
+inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 
 /// Row-major n*n distance matrix; +inf = unreachable; diagonal 0.
 class DistanceMatrix {

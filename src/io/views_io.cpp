@@ -71,7 +71,7 @@ std::vector<View> load_views(std::istream& is) {
                                      std::to_string(n));
     if (r.size() != 3 || r[0] != "view")
       r.fail("expected 'view <pid> <events>', got '" + r.line() + "'");
-    const auto pid = static_cast<ProcessorId>(r.u64(r[1]));
+    const ProcessorId pid = r.id(r[1]);
     if (pid < i)
       r.fail("duplicate view block for processor " + std::to_string(pid));
     if (pid != i) r.fail("views must appear in pid order");
@@ -103,7 +103,7 @@ std::vector<View> load_views(std::istream& is) {
         ev.kind = tag == "D" ? EventKind::kSend : EventKind::kReceive;
         ev.when = ClockTime{r.number(r[1])};
         ev.msg = static_cast<MessageId>(r.u64(r[2]));
-        ev.peer = static_cast<ProcessorId>(r.u64(r[3]));
+        ev.peer = r.id(r[3]);
       } else if ((tag == "T" || tag == "F") && r.size() == 3) {
         ev.kind = tag == "T" ? EventKind::kTimerSet : EventKind::kTimerFire;
         ev.when = ClockTime{r.number(r[1])};
@@ -179,8 +179,8 @@ SystemModel load_model(std::istream& is) {
   while (r.next()) {
     if (r.size() < 4 || r[0] != "link")
       r.fail("expected 'link <a> <b> <kind> ...', got '" + r.line() + "'");
-    auto a = static_cast<ProcessorId>(r.u64(r[1]));
-    auto b = static_cast<ProcessorId>(r.u64(r[2]));
+    ProcessorId a = r.id(r[1]);
+    ProcessorId b = r.id(r[2]);
     if (a > b) std::swap(a, b);
     if (b >= n)
       r.fail("link endpoint " + std::to_string(b) +

@@ -287,8 +287,11 @@ CampaignSpec load_campaign(std::istream& is) {
           if (params[2] != "crash")
             fail_line(line_no, "expected 'crash', got '" + params[2] + "'");
           fs.has_crash = true;
-          fs.crash_pid = static_cast<ProcessorId>(
-              parse_u64(params[3], line_no, "processor id"));
+          const std::optional<std::uint32_t> pid = text::parse_id(params[3]);
+          if (!pid)
+            fail_line(line_no,
+                      "'" + params[3] + "' is not a valid processor id");
+          fs.crash_pid = *pid;
           fs.crash_from = parse_num(params[4], line_no, "crash start");
           fs.crash_until = parse_num(params[5], line_no, "crash end");
         }

@@ -27,6 +27,16 @@ double realtime_seconds() {
   return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
+/// Pending echo samples for one peer are flushed once this many accumulate;
+/// fewer piggyback on the next probe datagram to that peer.
+constexpr std::size_t kEchoFlushBatch = 8;
+
+/// A wire double is a whole number below `bound`, so the cast to an integer
+/// type that holds every such number is exact.  Refuses NaN.
+bool whole_below(double v, double bound) {
+  return v >= 0.0 && v < bound && v == std::floor(v);
+}
+
 }  // namespace
 
 std::vector<double> encode_extremes(
@@ -47,15 +57,17 @@ bool decode_extremes(std::span<const double> data,
                      std::vector<DirectionExtremes>& out) {
   out.clear();
   if (data.empty()) return false;
-  const double count_d = data[0];
-  if (!(count_d >= 0.0) || count_d != std::floor(count_d)) return false;
-  const std::size_t count = static_cast<std::size_t>(count_d);
+  // A count the payload cannot hold is refused before the cast, so
+  // neither it nor 1 + 4·count can wrap.
+  const auto most = static_cast<double>((data.size() - 1) / 4);
+  if (!whole_below(data[0], most + 1.0)) return false;
+  const auto count = static_cast<std::size_t>(data[0]);
   if (data.size() != 1 + 4 * count) return false;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const double* f = data.data() + 1 + 4 * i;
-    if (!(f[0] >= 0.0) || f[0] != std::floor(f[0])) return false;
-    if (!(f[3] >= 0.0) || f[3] != std::floor(f[3])) return false;
+    if (!whole_below(f[0], 0x1p32) || !whole_below(f[3], 0x1p64))
+      return false;
     out.push_back(DirectionExtremes{static_cast<ProcessorId>(f[0]), f[1],
                                     f[2], static_cast<std::uint64_t>(f[3])});
   }
@@ -83,7 +95,6 @@ SyncOutcome synchronize_from_extremes(const SystemModel& model,
 NetDaemon::NetDaemon(NetDaemonConfig config)
     : config_(std::move(config)),
       base_clock_(config_.base_clock ? config_.base_clock : realtime_seconds),
-      loop_(config_.backend),
       recv_buf_(kMaxDatagramBytes) {
   if (config_.model == nullptr) throw Error("NetDaemon: model is required");
   n_ = config_.model->processor_count();
@@ -231,9 +242,7 @@ void NetDaemon::handle_frame(const Frame& frame, double now) {
 
   if (const auto* hello = std::get_if<Hello>(&frame.body)) {
     if (hello->agent >= n_ || hello->agent == config_.id) return;
-    const std::int64_t skew = hello->clock_ticks - now_ticks;
-    if (skew > config_.max_hello_skew_ticks ||
-        skew < -config_.max_hello_skew_ticks) {
+    if (!hello_in_window(hello->clock_ticks, now_ticks)) {
       report_.window_violation = true;
       metrics_increment(config_.metrics, "runtime.net.hello_window_reject");
       return;
@@ -244,9 +253,7 @@ void NetDaemon::handle_frame(const Frame& frame, double now) {
 
   if (const auto* ack = std::get_if<HelloAck>(&frame.body)) {
     if (ack->agent >= n_ || ack->agent == config_.id) return;
-    const std::int64_t skew = ack->clock_ticks - now_ticks;
-    if (skew > config_.max_hello_skew_ticks ||
-        skew < -config_.max_hello_skew_ticks) {
+    if (!hello_in_window(ack->clock_ticks, now_ticks)) {
       report_.window_violation = true;
       metrics_increment(config_.metrics, "runtime.net.hello_window_reject");
       return;
@@ -262,8 +269,7 @@ void NetDaemon::handle_frame(const Frame& frame, double now) {
     const std::uint32_t recv24 = compress24(now_ticks);
     for (const ProbeSample& s : probe->samples) {
       if (!peer.seen_probe.insert(s.seq).second) continue;  // retransmit
-      const Reconstructed send = reconstruct24(s.t_send24, now_ticks,
-                                               config_.guard_ticks);
+      const Reconstructed send = reconstruct24(s.t_send24, now_ticks);
       if (send.ambiguous) {
         ++report_.ambiguous_dropped;
         metrics_increment(config_.metrics,
@@ -274,7 +280,7 @@ void NetDaemon::handle_frame(const Frame& frame, double now) {
       }
       peer.pending_echo.push_back(EchoSample{s.seq, s.t_send24, recv24});
     }
-    if (peer.pending_echo.size() >= config_.echo_flush_batch ||
+    if (peer.pending_echo.size() >= kEchoFlushBatch ||
         round_ >= config_.rounds)
       flush_echoes(q, now);
     return;
@@ -285,8 +291,7 @@ void NetDaemon::handle_frame(const Frame& frame, double now) {
     if (q >= n_ || q == config_.id || !peers_[q].neighbor) return;
     if (!peers_[q].seen_echo.insert(echo->eseq).second) return;
     // The echo's own send stamp is a fresh reverse-direction probe.
-    const Reconstructed reply = reconstruct24(echo->t_reply24, now_ticks,
-                                              config_.guard_ticks);
+    const Reconstructed reply = reconstruct24(echo->t_reply24, now_ticks);
     if (reply.ambiguous) {
       ++report_.ambiguous_dropped;
       metrics_increment(config_.metrics, "runtime.net.reconstruct_ambiguous");

@@ -114,15 +114,7 @@ struct NetDaemonConfig {
   Duration retry{0.1};      ///< report / corrections resend interval
   Duration linger{0.4};     ///< follower lifetime after acking (re-acks)
   Duration deadline{15.0};  ///< hard stop, converged or not
-  /// Reconstruction guard band (timestamp.hpp).
-  std::int64_t guard_ticks{kDefaultGuardTicks};
-  /// Refuse Hellos whose full-width stamp differs by more than this.
-  std::int64_t max_hello_skew_ticks{kTimestampHalfWindow / 2};
-  /// Flush pending echo samples once this many accumulate (otherwise they
-  /// piggyback on the next probe datagram to that peer).
-  std::size_t echo_flush_batch{8};
 
-  LoopBackend backend{LoopBackend::kAuto};
   Metrics* metrics{nullptr};  ///< must outlive the daemon; nullptr = off
 };
 

@@ -64,7 +64,6 @@ SyncServer::SyncServer(SyncServerConfig config)
     : config_(std::move(config)),
       clock_(config_.clock ? config_.clock : steady_seconds),
       local_(config_.listen),
-      loop_(config_.backend),
       sessions_(config_.session),
       recv_buf_(kMaxDatagramBytes) {
   fd_ = open_udp_socket(local_);
@@ -190,9 +189,7 @@ bool SyncServer::handle_frame(Session& session, const Frame& frame,
   const std::int64_t now_ticks = to_ticks(t);
 
   if (const auto* hello = std::get_if<Hello>(&frame.body)) {
-    const std::int64_t skew = hello->clock_ticks - now_ticks;
-    if (skew > config_.max_hello_skew_ticks ||
-        skew < -config_.max_hello_skew_ticks) {
+    if (!hello_in_window(hello->clock_ticks, now_ticks)) {
       // Outside the compact-stamp window contract: refuse loudly (metric)
       // rather than bank wrapped timestamps later.
       metrics_increment(config_.metrics, "runtime.net.hello_window_reject");
@@ -201,7 +198,7 @@ bool SyncServer::handle_frame(Session& session, const Frame& frame,
     }
     session.state = Session::State::kEstablished;
     session.agent = hello->agent;
-    session.hello_skew_ticks = skew;
+    session.hello_skew_ticks = hello->clock_ticks - now_ticks;
     reply(session, Frame{HelloAck{config_.agent, now_ticks}});
     return false;
   }

@@ -45,11 +45,6 @@ struct SyncServerConfig {
   SessionConfig session;
   /// Idle-session sweep cadence.
   Duration sweep_period{1.0};
-  /// Hellos whose clock differs from ours by more than this many ticks are
-  /// refused (the compact-stamp window would be unsound).  Default: a
-  /// quarter window, half the reconstruction margin in reserve.
-  std::int64_t max_hello_skew_ticks{kTimestampHalfWindow / 2};
-  LoopBackend backend{LoopBackend::kAuto};
   /// Local clock in seconds (monotonic by default; injectable for tests).
   std::function<double()> clock;
   /// Metric sink; must outlive the server.  nullptr = off.

@@ -18,7 +18,7 @@
 // (runtime.net.reconstruct_ambiguous) instead of banking a possibly
 // window-shifted delay.  Full wraps are excluded by protocol: the Hello
 // handshake carries a full-width stamp and refuses sessions whose clocks
-// disagree by more than a quarter window (session.hpp).
+// disagree by more than a quarter window (hello_in_window below).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,18 @@ inline constexpr std::int64_t kTimestampHalfWindow = kTimestampWindow / 2;
 /// holds peers to well under a second) while costing under 1% of the
 /// usable window.
 inline constexpr std::int64_t kDefaultGuardTicks = std::int64_t{1} << 16;
+
+/// Hellos whose full-width clock stamp differs from the receiver's clock by
+/// more than this are refused, so no later compact stamp can wrap: a
+/// quarter window, half the reconstruction margin in reserve.
+inline constexpr std::int64_t kMaxHelloSkewTicks = kTimestampHalfWindow / 2;
+
+/// The Hello window contract: a peer's full-width stamp `clock_ticks`,
+/// received at local time `now_ticks`, is within kMaxHelloSkewTicks of it.
+inline bool hello_in_window(std::int64_t clock_ticks, std::int64_t now_ticks) {
+  return clock_ticks >= now_ticks - kMaxHelloSkewTicks &&
+         clock_ticks <= now_ticks + kMaxHelloSkewTicks;
+}
 
 /// Clock seconds -> ticks (round-to-nearest; exact back to ±2^62 µs).
 std::int64_t to_ticks(double seconds);

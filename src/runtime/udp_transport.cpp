@@ -201,6 +201,12 @@ void UdpTransport::recv_loop(ProcessorId pid) {
       metrics_increment(metrics_, "runtime.udp.unexpected_frame");
       continue;
     }
+    if (full->to != pid || full->from >= endpoints_.size()) {
+      // Any local process can reach this port: a frame for another
+      // endpoint, or from no agent, is never dispatched.
+      metrics_increment(metrics_, "runtime.udp.misaddressed");
+      continue;
+    }
 
     WireMessage msg;
     msg.id = full->id;

@@ -14,7 +14,9 @@
 // daemons, another architecture); the old memcpy'd struct-layout datagrams
 // are gone.  Inbound datagrams that do not decode are dropped and counted
 // ("runtime.udp.decode_error"), truncated ones likewise
-// ("runtime.udp.recv_truncated") — never delivered, never UB.
+// ("runtime.udp.recv_truncated"), and so are frames not addressed to the
+// receiving endpoint or not from an agent ("runtime.udp.misaddressed") —
+// never delivered, never UB.
 #pragma once
 
 #include <atomic>
@@ -59,8 +61,9 @@ class UdpTransport final : public Transport {
 
   /// Error-path instrumentation sink ("runtime.udp.poll_error",
   /// "runtime.udp.endpoint_failed", "runtime.udp.recv_truncated",
-  /// "runtime.udp.decode_error", byte counters).  Must outlive the
-  /// transport; set before start().  nullptr = off.
+  /// "runtime.udp.decode_error", "runtime.udp.misaddressed", byte
+  /// counters).  Must outlive the transport; set before start().
+  /// nullptr = off.
   void set_metrics(Metrics* metrics) { metrics_ = metrics; }
 
   /// Failure notification for the host; set before start().

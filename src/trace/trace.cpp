@@ -177,9 +177,7 @@ TraceEvent parse_event(const text::LineReader& r) {
       r.fail(std::string("wrong field count for event '") + tag + "' (got " +
              std::to_string(r.size() - 1) + " fields)");
   };
-  auto pid = [&](std::size_t i) {
-    return static_cast<ProcessorId>(r.u64(r[i]));
-  };
+  auto pid = [&](std::size_t i) { return r.id(r[i]); };
   switch (tag) {
     case 'D':
     case 'R':
@@ -355,7 +353,7 @@ Trace load_trace(std::istream& is) {
         r.fail("unknown apsp algorithm '" + std::string(r[1]) + "'");
     } else if (key == "root") {
       need(2);
-      trace.plan.options.sync.root = static_cast<NodeId>(r.u64(r[1]));
+      trace.plan.options.sync.root = r.id(r[1]);
     } else if (key == "cycle-mean") {
       // Written by recorders that still offered a choice of cycle-mean
       // algorithm; their recorded corrections cannot replay bit for bit.

@@ -1,31 +1,23 @@
-#include "core/critical_cycle.hpp"
-
+// The critical cycle θ that SHIFTS reads off Howard's converged policy
+// (ShiftsResult::critical_cycle, passed on as SyncOutcome::critical_cycle).
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
 #include "support/builders.hpp"
 
 namespace cs {
 namespace {
 
-/// Mean m̃s-weight of a returned cycle.
-double cycle_mean_of(const DistanceMatrix& ms,
-                     const std::vector<NodeId>& cycle) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < cycle.size(); ++i)
-    total += ms.at(cycle[i], cycle[(i + 1) % cycle.size()]);
-  return total / static_cast<double>(cycle.size());
-}
-
 TEST(CriticalCycle, TwoNode) {
   DistanceMatrix ms(2);
   ms.at(0, 1) = 0.3;
   ms.at(1, 0) = 0.5;
-  const auto cycle = critical_cycle(ms, 0.4);
-  ASSERT_EQ(cycle.size(), 2u);
-  EXPECT_NEAR(cycle_mean_of(ms, cycle), 0.4, 1e-12);
+  const ShiftsResult res = compute_shifts(ms);
+  ASSERT_EQ(res.critical_cycle.size(), 2u);
+  EXPECT_NEAR(test::cycle_mean_of(ms, res.critical_cycle), 0.4, 1e-12);
 }
 
 TEST(CriticalCycle, PicksTheBindingCycle) {
@@ -42,22 +34,15 @@ TEST(CriticalCycle, PicksTheBindingCycle) {
       ms.at(p, q) = -5.0;
       ms.at(q, p) = -5.0;
     }
-  const auto cycle = critical_cycle(ms, 3.0);
-  ASSERT_FALSE(cycle.empty());
+  const ShiftsResult res = compute_shifts(ms);
+  const std::vector<NodeId>& cycle = res.critical_cycle;
   const std::set<NodeId> members(cycle.begin(), cycle.end());
   EXPECT_TRUE(members == std::set<NodeId>({2, 3}));
-  EXPECT_NEAR(cycle_mean_of(ms, cycle), 3.0, 1e-12);
+  EXPECT_NEAR(test::cycle_mean_of(ms, cycle), 3.0, 1e-12);
 }
 
 TEST(CriticalCycle, SingleProcessorEmpty) {
-  EXPECT_TRUE(critical_cycle(DistanceMatrix(1), 0.0).empty());
-}
-
-TEST(CriticalCycle, NoTightCycleWhenAMaxTooLarge) {
-  DistanceMatrix ms(2);
-  ms.at(0, 1) = 0.3;
-  ms.at(1, 0) = 0.5;
-  EXPECT_TRUE(critical_cycle(ms, 10.0).empty());
+  EXPECT_TRUE(compute_shifts(DistanceMatrix(1)).critical_cycle.empty());
 }
 
 class CriticalCycleProperty : public ::testing::TestWithParam<std::uint64_t> {
@@ -72,14 +57,14 @@ TEST_P(CriticalCycleProperty, WitnessAttainsOptimalPrecision) {
   const auto views = sim.execution.views();
   const SyncOutcome out = synchronize(model, views);
   ASSERT_TRUE(out.bounded());
-  const auto cycle =
-      critical_cycle(out.ms_estimates, out.optimal_precision.finite());
+  const std::vector<NodeId>& cycle = out.critical_cycle;
   ASSERT_GE(cycle.size(), 2u);
   // All cycle nodes distinct.
   const std::set<NodeId> members(cycle.begin(), cycle.end());
   EXPECT_EQ(members.size(), cycle.size());
-  EXPECT_NEAR(cycle_mean_of(out.ms_estimates, cycle),
-              out.optimal_precision.finite(), 1e-6);
+  const double a_max = out.optimal_precision.finite();
+  EXPECT_NEAR(test::cycle_mean_of(out.ms_estimates, cycle), a_max,
+              shifts_epsilon(a_max));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CriticalCycleProperty,

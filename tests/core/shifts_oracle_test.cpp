@@ -4,7 +4,8 @@
 // potential.  The property test below holds it to the textbook pipeline
 // on random m̃s closures: Karp's maximum cycle mean for Ã^max and
 // Bellman–Ford distances from the root under w = Ã^max − m̃s for the
-// corrections, per finiteness component.  It also holds warm-started runs
+// corrections, per finiteness component, and on bounded instances a
+// critical cycle θ whose mean is Karp's.  It also holds warm-started runs
 // to cold ones: the corrections are shortest-path distances, so they must
 // not depend on which optimal policy Howard stops at.
 //
@@ -15,6 +16,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,8 +26,8 @@
 #include "core/shifts.hpp"
 #include "core/synchronizer.hpp"
 #include "core/zones.hpp"
-#include "graph/bellman_ford.hpp"
 #include "graph/topology.hpp"
+#include "oracles/bellman_ford.hpp"
 #include "oracles/cycle_mean.hpp"
 #include "oracles/floyd_warshall.hpp"
 #include "support/builders.hpp"
@@ -132,8 +134,17 @@ TEST(ShiftsOracleProperty, HowardDijkstraMatchesKarpAndBellmanFord) {
       const auto karp = max_cycle_mean_karp(comp);
       ASSERT_TRUE(karp.has_value()) << ctx;
       const double a_max = got.component_a_max[c];
-      const double tol = cold.tolerance_scale * std::max(1.0, std::fabs(*karp));
+      const double tol = shifts_epsilon(*karp);
       EXPECT_NEAR(a_max, *karp, tol) << ctx;
+      if (got.bounded()) {
+        // θ: a simple cycle of the instance whose mean is Karp's.
+        const std::vector<NodeId>& theta = got.critical_cycle;
+        ASSERT_GE(theta.size(), 2u) << ctx;
+        const std::set<NodeId> distinct(theta.begin(), theta.end());
+        EXPECT_EQ(distinct.size(), theta.size()) << ctx;
+        EXPECT_LT(*distinct.rbegin(), n) << ctx;
+        EXPECT_NEAR(test::cycle_mean_of(ms, theta), *karp, tol) << ctx;
+      }
 
       // Bellman–Ford from the component root on the complete digraph of
       // w = Ã^max − m̃s, Ã^max taken from the oracle.
@@ -155,6 +166,8 @@ TEST(ShiftsOracleProperty, HowardDijkstraMatchesKarpAndBellmanFord) {
       // instance too.
       ASSERT_EQ(groups.size(), 1u) << inst.what;
       EXPECT_EQ(got.a_max.finite(), got.component_a_max[0]) << inst.what;
+    } else {
+      EXPECT_TRUE(got.critical_cycle.empty()) << inst.what;
     }
 
     // Warm starts from an arbitrary policy: Howard may stop at another
@@ -198,6 +211,7 @@ void expect_same(const SyncOutcome& a, const SyncOutcome& b,
   EXPECT_TRUE(bits_equal(a.optimal_precision, b.optimal_precision)) << what;
   EXPECT_TRUE(bits_equal(a.component_precision, b.component_precision))
       << what;
+  EXPECT_EQ(a.critical_cycle, b.critical_cycle) << what;
 }
 
 TEST(ShiftsMetricsSink, ResultsDoNotDependOnTheSink) {
@@ -217,6 +231,7 @@ TEST(ShiftsMetricsSink, ResultsDoNotDependOnTheSink) {
     EXPECT_TRUE(bits_equal(a.a_max, b.a_max)) << inst.what;
     EXPECT_TRUE(bits_equal(a.component_a_max, b.component_a_max))
         << inst.what;
+    EXPECT_EQ(a.critical_cycle, b.critical_cycle) << inst.what;
     EXPECT_EQ(metrics.counter("shifts.runs"), 1u);
   }
 

@@ -14,9 +14,9 @@
 #include "common/rng.hpp"
 #include "graph/arena.hpp"
 #include "graph/csr.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/johnson.hpp"
 #include "io/views_io.hpp"
+#include "oracles/dijkstra.hpp"
 
 #ifndef CS_TEST_DATA_DIR
 #error "CS_TEST_DATA_DIR must point at tests/data"

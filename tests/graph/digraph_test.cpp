@@ -41,18 +41,6 @@ TEST(Digraph, ParallelEdgesAllowed) {
   EXPECT_EQ(g.out_edges(0).size(), 2u);
 }
 
-TEST(Digraph, Reversed) {
-  Digraph g(3);
-  g.add_edge(0, 1, 1.5);
-  g.add_edge(1, 2, 2.5);
-  const Digraph r = g.reversed();
-  EXPECT_EQ(r.node_count(), 3u);
-  EXPECT_EQ(r.edge(0).from, 1u);
-  EXPECT_EQ(r.edge(0).to, 0u);
-  EXPECT_DOUBLE_EQ(r.edge(0).weight, 1.5);
-  EXPECT_EQ(r.out_edges(2).size(), 1u);
-}
-
 TEST(Digraph, SelfLoop) {
   Digraph g(1);
   g.add_edge(0, 0, -3.0);

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "graph/bellman_ford.hpp"
-#include "graph/dijkstra.hpp"
+#include "oracles/bellman_ford.hpp"
+#include "oracles/dijkstra.hpp"
 
 namespace cs {
 namespace {

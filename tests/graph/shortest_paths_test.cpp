@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "graph/bellman_ford.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/johnson.hpp"
+#include "oracles/bellman_ford.hpp"
+#include "oracles/dijkstra.hpp"
 #include "oracles/floyd_warshall.hpp"
 
 namespace cs {

@@ -102,6 +102,11 @@ TEST(CampaignSpec, DiagnosticsCarryLineNumbers) {
                          "faults drop 1.5\n")
                 .find("[0, 1]"),
             std::string::npos);
+  // A crash pid of 2^32 would narrow onto processor 0.
+  EXPECT_NE(expect_error("chronosync-campaign v1\nseeds 1\n"
+                         "faults drop 0.1 crash 4294967296 1 2\n")
+                .find("line 3: '4294967296' is not a valid processor id"),
+            std::string::npos);
 }
 
 TEST(CampaignSpec, ExpandIsTheDeclarationOrderOdometer) {

@@ -65,6 +65,12 @@ TEST(ExtremesCodec, RoundTripsAndRejectsMalformedPayloads) {
                                back));
   EXPECT_FALSE(decode_extremes(std::vector<double>{1e18}, back));
   EXPECT_FALSE(decode_extremes(std::vector<double>{}, back));
+  // A peer of 2^32 would narrow onto peer 0.
+  EXPECT_FALSE(decode_extremes(
+      std::vector<double>{1.0, 4294967296.0, 0.001, 0.002, 1.0}, back));
+  // 1 + 4·count wraps to 1 for this count, which matches the length.
+  EXPECT_FALSE(decode_extremes(std::vector<double>{4.611686018427388e18},
+                               back));
 }
 
 TEST(NetDaemonConfigValidation, RejectsMalformedSetups) {

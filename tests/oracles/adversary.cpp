@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "graph/dijkstra.hpp"
+#include "oracles/dijkstra.hpp"
 
 namespace cs {
 

@@ -1,4 +1,4 @@
-#include "graph/bellman_ford.hpp"
+#include "oracles/bellman_ford.hpp"
 
 #include <cassert>
 

@@ -1,18 +1,18 @@
-// Single-source shortest paths with negative edge weights.
+// Single-source shortest paths with negative edge weights: the textbook
+// oracle for the corrections.
 //
-// SHIFTS needs distances under weights w(p,q) = Ã^max − m̃s(p,q), which are
-// negative whenever a pair's shift estimate exceeds the optimum cycle mean —
-// the common case.  Theorem 4.6's argument guarantees no negative cycles;
-// we still detect them and report, because a negative cycle reaching the
-// pipeline indicates a broken estimator (or an inadmissible execution) and
-// must not be silently absorbed.
+// Thm 4.6's corrections are distances under w(p,q) = Ã^max − m̃s(p,q), which
+// are negative whenever a pair's shift estimate exceeds the optimum cycle
+// mean — the common case.  SHIFTS computes them with one Dijkstra on
+// Howard's potential (core/shifts.hpp); the property tests hold it to
+// Bellman–Ford here, and the cycle-mean oracles use has_negative_cycle.
 #pragma once
 
-#include <limits>
 #include <optional>
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
 
@@ -23,8 +23,6 @@ struct ShortestPaths {
   /// the source / unreachable nodes.
   std::vector<std::optional<EdgeId>> pred;
 };
-
-inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 
 /// Runs Bellman–Ford from `source`.  Returns std::nullopt iff a negative
 /// cycle is reachable from the source.  `epsilon` is the relaxation

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "graph/bellman_ford.hpp"
+#include "oracles/bellman_ford.hpp"
 #include "graph/scc.hpp"
 
 namespace cs {

@@ -1,4 +1,4 @@
-#include "graph/dijkstra.hpp"
+#include "oracles/dijkstra.hpp"
 
 #include <cassert>
 #include <queue>

@@ -23,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "net/address.hpp"
+#include "net/wire.hpp"
 
 namespace cs {
 namespace {
@@ -152,6 +153,53 @@ TEST(UdpTransportWire, GarbageDatagramCountsDecodeErrorNotDelivery) {
   EXPECT_EQ(metrics.counter("runtime.udp.decode_error"), 1u);
   EXPECT_EQ(delivered.load(), 0);
   EXPECT_EQ(transport.failed_endpoints(), 0u);
+  transport.stop();
+}
+
+TEST(UdpTransportWire, MisaddressedFrameIsCountedAndNeverDelivered) {
+  // Any local process can reach an endpoint's port.  A well-formed Full
+  // frame addressed to another endpoint, to no endpoint, or from no agent
+  // must be dropped and counted: the host indexes its agents by `to`.
+  UdpTransport transport(2);
+  Metrics metrics;
+  transport.set_metrics(&metrics);
+  std::atomic<int> delivered{0};
+  std::atomic<std::uint64_t> last_id{0};
+  transport.open(0, [&](WireMessage m) {
+    last_id.store(m.id);
+    delivered.fetch_add(1);
+  });
+  transport.open(1, [&](WireMessage) { delivered.fetch_add(1); });
+  transport.start();
+
+  const auto full = [](std::uint64_t id, std::uint32_t from,
+                       std::uint32_t to) {
+    net::FullMessage m;
+    m.id = id;
+    m.from = from;
+    m.to = to;
+    m.tag = 1;
+    m.data = {0.5};
+    return net::encode(net::Frame{std::move(m)});
+  };
+  const net::SocketAddress to0 = transport.address_of(0);
+  send_raw(to0, full(1, 1, 1));            // for endpoint 1
+  send_raw(to0, full(2, 1, 2));            // for no endpoint
+  send_raw(to0, full(3, 2, 0));            // from no agent
+  send_raw(to0, full(4, 4294967295u, 0));  // from no agent
+  send_raw(to0, full(5, 1, 0));            // well addressed
+
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while ((metrics.counter("runtime.udp.misaddressed") < 4 ||
+          delivered.load() == 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(2ms);
+  std::this_thread::sleep_for(20ms);  // room for a wrong late delivery
+
+  EXPECT_EQ(metrics.counter("runtime.udp.misaddressed"), 4u);
+  EXPECT_EQ(metrics.counter("runtime.udp.decode_error"), 0u);
+  EXPECT_EQ(delivered.load(), 1);
+  EXPECT_EQ(last_id.load(), 5u);
   transport.stop();
 }
 

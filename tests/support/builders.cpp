@@ -104,4 +104,12 @@ Execution two_node_execution(double s0, double s1,
   return Execution(std::move(histories));
 }
 
+double cycle_mean_of(const DistanceMatrix& ms,
+                     const std::vector<NodeId>& cycle) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < cycle.size(); ++i)
+    total += ms.at(cycle[i], cycle[(i + 1) % cycle.size()]);
+  return total / static_cast<double>(cycle.size());
+}
+
 }  // namespace cs::test

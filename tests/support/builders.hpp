@@ -1,11 +1,13 @@
 // Shared fixtures for the test suites: canned system models, protocol runs,
-// and hand-built executions with exactly controlled delays.
+// hand-built executions with exactly controlled delays, and the mean of a
+// critical cycle.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "delaymodel/assignment.hpp"
+#include "graph/distance_matrix.hpp"
 #include "proto/ping_pong.hpp"
 #include "sim/simulator.hpp"
 
@@ -36,5 +38,10 @@ SimResult run_ping_pong(const SystemModel& model, std::uint64_t seed,
 Execution two_node_execution(double s0, double s1,
                              const std::vector<double>& delays_01,
                              const std::vector<double>& delays_10);
+
+/// Mean m̃s weight of the cycle p_0 -> ... -> p_{m-1} -> p_0, summed from
+/// p_0 on (the order SHIFTS sums its critical cycle in).
+double cycle_mean_of(const DistanceMatrix& ms,
+                     const std::vector<NodeId>& cycle);
 
 }  // namespace cs::test

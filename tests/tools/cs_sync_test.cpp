@@ -153,6 +153,23 @@ TEST(CsSyncCli, ExitCodeContract) {
   EXPECT_EQ(run("sync only_one_arg").exit_code, 2);    // wrong arity
   EXPECT_EQ(run("replay /nonexistent.trace").exit_code, 3);  // runtime error
   EXPECT_EQ(run("help").exit_code, 0);
+  {
+    // A root past 32 bits is a usage error; one past the processor count
+    // but below 2^32 stays a runtime error.
+    SystemModel model = test::bounded_model(make_complete(4), 0.005, 0.03);
+    const std::string dir = ::testing::TempDir();
+    const std::string views_path = dir + "/cs_sync_root.views";
+    const std::string model_path = dir + "/cs_sync_root.model";
+    save_views_file(views_path,
+                    test::run_ping_pong(model, 11, 0.2).execution.views());
+    save_model_file(model_path, model);
+    const std::string sync = "sync " + views_path + " " + model_path;
+    const RunResult big = run(sync + " --root 4294967296");
+    EXPECT_EQ(big.exit_code, 2) << big.output;
+    EXPECT_NE(big.output.find("flag '--root'"), std::string::npos)
+        << big.output;
+    EXPECT_EQ(run(sync + " --root 4").exit_code, 3);
+  }
   // Topology sizes are checked in every build: ring 0 once crashed a
   // Release build, and ring 2 recorded its one link twice.
   const std::string out = ::testing::TempDir() + "/cs_sync_bad_size.trace";

@@ -120,6 +120,10 @@ TEST(CsSyncdCli, NumbersReadLikeTheTraceReader) {
       {"--epochs 1 --skew +0.1", "--skew"},
       {"--peers 127.0.0.1:0,127.0.0.1:0 --id 1.5 --n 2 --deadline 0.2",
        "--id"},
+      // Ids past 32 bits, which once narrowed onto agent 0.
+      {"--epochs 1 --leader 4294967296", "--leader"},
+      {"--peers 127.0.0.1:0,127.0.0.1:0 --id 4294967296 --n 2 --deadline 0.2",
+       "--id"},
   };
   for (const Case& c : cases) {
     const RunResult r = run("--n 4 " + c.args);

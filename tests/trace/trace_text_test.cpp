@@ -117,6 +117,70 @@ TEST(TraceText, NumberGrammarPinnedInEveryReader) {
   }
 }
 
+TEST(TraceText, IdsPast32BitsRefusedInEveryReader) {
+  // A processor id is read whole before it narrows to 32 bits, so 2^32 is
+  // refused where it stands instead of loading as processor 0.
+  const std::string big = "4294967296";
+  const std::string bad = "bad processor id '" + big + "'";
+  const auto trace_doc = [](const std::string& lines) {
+    return "chronosync-trace v1\nprocessors 2\nseed 0\nbegin model\n"
+           "chronosync-model v1\nprocessors 2\nend model\n" +
+           lines + "end trace\n";
+  };
+  struct Case {
+    std::string what, doc, error;
+    enum { kViews, kModel, kTrace } reader;
+  };
+  const Case cases[] = {
+      {"view pid", "chronosync-views v1\nprocessors 2\nview " + big + " 1\n",
+       "parse error at line 3: " + bad, Case::kViews},
+      {"event peer",
+       "chronosync-views v1\nprocessors 2\nview 0 1\nD 0.5 7 " + big + "\n",
+       "parse error at line 4: " + bad, Case::kViews},
+      {"link a",
+       "chronosync-model v1\nprocessors 2\nlink " + big + " 1 bounds 1 2\n",
+       "parse error at line 3: " + bad, Case::kModel},
+      {"link b",
+       "chronosync-model v1\nprocessors 2\nlink 0 " + big + " bounds 1 2\n",
+       "parse error at line 3: " + bad, Case::kModel},
+      {"event a", trace_doc("event D 0.5 " + big + " 1 1 0.5\n"),
+       "trace parse error at line 8: " + bad, Case::kTrace},
+      {"event b", trace_doc("event R 0.5 0 " + big + " 1 0.5\n"),
+       "trace parse error at line 8: " + bad, Case::kTrace},
+      {"timer pid", trace_doc("event T 0.5 " + big + " 0 0.5\n"),
+       "trace parse error at line 8: " + bad, Case::kTrace},
+      {"root", trace_doc("root " + big + "\n"),
+       "trace parse error at line 8: " + bad, Case::kTrace},
+      // Below 2^32, an id past the processor count keeps its range error.
+      {"view pid 2^32 - 1",
+       "chronosync-views v1\nprocessors 2\nview 4294967295 1\n",
+       "parse error at line 3: views must appear in pid order", Case::kViews},
+      {"link b 2^32 - 1",
+       "chronosync-model v1\nprocessors 2\nlink 0 4294967295 bounds 1 2\n",
+       "parse error at line 3: link endpoint 4294967295 out of range "
+       "(processors 2)",
+       Case::kModel},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto err = error_of([&] {
+      std::istringstream is(c.doc);
+      switch (c.reader) {
+        case Case::kViews:
+          (void)load_views(is);
+          break;
+        case Case::kModel:
+          (void)load_model(is);
+          break;
+        case Case::kTrace:
+          (void)load_trace(is);
+          break;
+      }
+    });
+    EXPECT_EQ(err, c.error);
+  }
+}
+
 std::string golden(const std::string& name) {
   std::ifstream is(std::string(CS_TEST_DATA_DIR) + "/" + name);
   std::ostringstream os;

@@ -99,6 +99,14 @@ inline std::uint64_t parse_u64_flag(const std::string& flag,
   return *v;
 }
 
+inline ProcessorId parse_id_flag(const std::string& flag,
+                                 const std::string& text) {
+  const std::optional<std::uint32_t> v = text::parse_id(text);
+  if (!v)
+    usage_fail("flag '" + flag + "': '" + text + "' is not a processor id");
+  return *v;
+}
+
 inline std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
   std::string part;

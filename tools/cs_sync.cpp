@@ -67,8 +67,7 @@ std::string jmap(const std::map<std::string, std::uint64_t>& m) {
 SyncOptions sync_options_from(const Args& args) {
   SyncOptions opts;
   if (args.has("--root"))
-    opts.root = static_cast<NodeId>(
-        parse_u64_flag("--root", args.get("--root")));
+    opts.root = parse_id_flag("--root", args.get("--root"));
   const std::string match = args.get("--match", "strict");
   if (match == "strict")
     opts.match = MatchPolicy::kStrict;
@@ -224,10 +223,8 @@ int cmd_simulate(const Args& args) {
     // --down a:b:from:until — a link outage window.
     const auto parts = split(args.get("--down"), ':');
     if (parts.size() != 4) usage_fail("--down wants a:b:from:until");
-    const auto a =
-        static_cast<ProcessorId>(parse_u64_flag("--down", parts[0]));
-    const auto b =
-        static_cast<ProcessorId>(parse_u64_flag("--down", parts[1]));
+    const ProcessorId a = parse_id_flag("--down", parts[0]);
+    const ProcessorId b = parse_id_flag("--down", parts[1]);
     faults.link(a, b).down.push_back(
         TimeWindow{RealTime{parse_double_flag("--down", parts[2])},
                    RealTime{parse_double_flag("--down", parts[3])}});
@@ -238,8 +235,7 @@ int cmd_simulate(const Args& args) {
     const auto parts = split(args.get("--crash"), ':');
     if (parts.size() != 2 && parts.size() != 3)
       usage_fail("--crash wants pid:from[:until]");
-    const auto pid =
-        static_cast<ProcessorId>(parse_u64_flag("--crash", parts[0]));
+    const ProcessorId pid = parse_id_flag("--crash", parts[0]);
     const RealTime from{parse_double_flag("--crash", parts[1])};
     if (parts.size() == 3)
       faults.crash(pid, from,

@@ -139,8 +139,7 @@ SystemModel agent_model(const Args& args, std::uint64_t seed) {
 int cmd_serve(const Args& args) {
   net::SyncServerConfig config;
   config.listen = net::parse_hostport(args.get("--listen", "127.0.0.1:0"));
-  config.agent =
-      static_cast<ProcessorId>(parse_u64_flag("--id", args.get("--id", "0")));
+  config.agent = parse_id_flag("--id", args.get("--id", "0"));
   config.session.max_sessions = static_cast<std::size_t>(parse_u64_flag(
       "--max-sessions", args.get("--max-sessions", "100000")));
   config.session.idle_timeout = Duration{parse_double_flag(
@@ -181,10 +180,8 @@ int cmd_peers(const Args& args) {
       agent_model(args, parse_u64_flag("--seed", args.get("--seed", "1")));
   net::NetDaemonConfig config;
   config.model = &model;
-  config.id =
-      static_cast<ProcessorId>(parse_u64_flag("--id", args.get("--id", "0")));
-  config.leader = static_cast<ProcessorId>(
-      parse_u64_flag("--leader", args.get("--leader", "0")));
+  config.id = parse_id_flag("--id", args.get("--id", "0"));
+  config.leader = parse_id_flag("--leader", args.get("--leader", "0"));
   for (const std::string& part : split(args.get("--peers"), ','))
     config.peers.push_back(net::parse_hostport(part));
   if (args.has("--listen") && config.id < config.peers.size())
@@ -395,8 +392,7 @@ int cmd_live(const Args& args) {
       parse_u64_flag("--epochs", args.get("--epochs", "2")));
   config.agent.grace =
       Duration{parse_double_flag("--grace", args.get("--grace", "0"))};
-  config.agent.leader = static_cast<ProcessorId>(
-      parse_u64_flag("--leader", args.get("--leader", "0")));
+  config.agent.leader = parse_id_flag("--leader", args.get("--leader", "0"));
   config.drift.rho =
       parse_double_flag("--drift-ppm", args.get("--drift-ppm", "0")) * 1e-6;
   config.drift.slack =
