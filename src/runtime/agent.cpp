@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,31 @@ std::vector<ClockTime> sync_agent_boundaries(const SyncAgentParams& params) {
 }
 
 namespace {
+
+/// A control-payload field as an integer in [lo, hi], or nullopt.  Every
+/// integer field of a report or corrections frame is read through here
+/// before it is cast: converting a NaN, negative, fractional or huge double
+/// to an integer is undefined behaviour, and over UDP any local process can
+/// send such a frame.  In [0, 2^53) the cast is defined and a whole double
+/// survives the round trip exactly.
+std::optional<std::size_t> checked_field(double v, std::size_t lo,
+                                         std::size_t hi) {
+  if (!(v >= 0.0 && v < 0x1p53)) return std::nullopt;
+  const auto x = static_cast<std::size_t>(v);
+  if (static_cast<double>(x) != v || x < lo || x > hi) return std::nullopt;
+  return x;
+}
+
+struct ReportHeader {
+  ProcessorId origin{0};
+  std::size_t epoch{0};  // 1-based
+
+  std::uint64_t key() const {
+    return (static_cast<std::uint64_t>(origin) << 32) | epoch;
+  }
+};
+
+using ParsedObs = std::vector<std::pair<ProcessorId, TimedObs>>;
 
 class SyncAgentAutomaton final : public Automaton {
  public:
@@ -184,32 +210,31 @@ class SyncAgentAutomaton final : public Automaton {
     const ClockTime boundary = boundaries_[epoch - 1];
     const std::vector<ReportObs> delta = estimator_.take_report(boundary);
 
-    Payload report;
-    report.tag = kTagLiveReport;
-    report.data = {static_cast<double>(self_), static_cast<double>(epoch)};
-    const std::size_t ndirs_slot = report.data.size();
-    report.data.push_back(0.0);
+    std::vector<double> data = {static_cast<double>(self_),
+                                static_cast<double>(epoch), 0.0};
     std::size_t ndirs = 0;
     for (std::size_t i = 0; i < delta.size();) {
       const ProcessorId peer = delta[i].peer;
       std::size_t j = i;
       while (j < delta.size() && delta[j].peer == peer) ++j;
-      report.data.push_back(static_cast<double>(peer));
-      report.data.push_back(static_cast<double>(j - i));
+      data.push_back(static_cast<double>(peer));
+      data.push_back(static_cast<double>(j - i));
       for (; i < j; ++i) {
-        report.data.push_back(delta[i].obs.send);
-        report.data.push_back(delta[i].obs.delay);
+        data.push_back(delta[i].obs.send);
+        data.push_back(delta[i].obs.delay);
       }
       ++ndirs;
     }
-    report.data[ndirs_slot] = static_cast<double>(ndirs);
+    data[2] = static_cast<double>(ndirs);
 
     if (self_ == params_.leader) {
-      absorb_report(report.data);
+      absorb_report(data);
       maybe_compute(ctx);
       if (params_.grace > Duration{0.0} && computed_through_ < epoch)
         arm(ctx, ctx.now() + params_.grace, Timer::kGrace, epoch);
     } else {
+      // Built once; every neighbor's copy shares the buffer.
+      const Payload report{kTagLiveReport, data};
       for (ProcessorId nb : ctx.neighbors()) ctx.send(nb, report);
     }
 
@@ -223,17 +248,16 @@ class SyncAgentAutomaton final : public Automaton {
   }
 
   void handle_report(Context& ctx, const Message& msg) {
-    const auto& d = msg.payload.data;
-    if (d.size() < 3) return;
-    const auto origin = static_cast<ProcessorId>(d[0]);
-    const auto epoch = static_cast<std::size_t>(d[1]);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(origin) << 32) | epoch;
-    if (!seen_reports_.insert(key).second) return;  // flood duplicate
+    // A flood duplicate is dropped on its header alone.  A first copy is
+    // read in full; a malformed one is dropped whole — not absorbed, not
+    // forwarded, and not marked seen, so it cannot shadow the real report.
+    const std::optional<ReportHeader> head = read_header(msg.payload.data);
+    if (!head || seen_reports_.contains(head->key())) return;
+    if (!read_report(msg.payload.data, nullptr)) return;
+    seen_reports_.insert(head->key());
 
     if (self_ == params_.leader) {
-      if (epoch == 0 || epoch > params_.epochs) return;
-      absorb_report(d);
+      absorb_report(msg.payload.data);
       maybe_compute(ctx);
     } else {
       for (ProcessorId nb : ctx.neighbors())
@@ -241,20 +265,47 @@ class SyncAgentAutomaton final : public Automaton {
     }
   }
 
-  void absorb_report(const std::vector<double>& d) {
-    const auto origin = static_cast<ProcessorId>(d[0]);
-    const auto epoch = static_cast<std::size_t>(d[1]);
-    const auto ndirs = static_cast<std::size_t>(d[2]);
+  /// A report's (origin, epoch), checked: origin < n, 1 <= epoch <= epochs.
+  std::optional<ReportHeader> read_header(std::span<const double> d) const {
+    if (d.size() < 3) return std::nullopt;
+    const auto origin = checked_field(d[0], 0, model_->processor_count() - 1);
+    const auto epoch = checked_field(d[1], 1, params_.epochs);
+    if (!origin || !epoch) return std::nullopt;
+    return ReportHeader{static_cast<ProcessorId>(*origin), *epoch};
+  }
+
+  /// Checks a whole report field by field — its header, peers < n, and
+  /// counts that account for the payload exactly — and, when `obs` is
+  /// non-null, appends its (peer, observation) pairs.  nullopt when any
+  /// check fails.
+  std::optional<ReportHeader> read_report(std::span<const double> d,
+                                          ParsedObs* obs) const {
+    const std::optional<ReportHeader> head = read_header(d);
+    if (!head) return std::nullopt;
+    const std::size_t n = model_->processor_count();
+    const auto ndirs = checked_field(d[2], 0, (d.size() - 3) / 2);
+    if (!ndirs) return std::nullopt;
     std::size_t pos = 3;
-    std::vector<std::pair<ProcessorId, TimedObs>> parsed;
-    for (std::size_t dir = 0; dir < ndirs && pos + 2 <= d.size(); ++dir) {
-      const auto peer = static_cast<ProcessorId>(d[pos]);
-      const auto count = static_cast<std::size_t>(d[pos + 1]);
+    for (std::size_t dir = 0; dir < *ndirs; ++dir) {
+      if (d.size() - pos < 2) return std::nullopt;
+      const auto peer = checked_field(d[pos], 0, n - 1);
+      const auto count = checked_field(d[pos + 1], 0, (d.size() - pos - 2) / 2);
+      if (!peer || !count) return std::nullopt;
       pos += 2;
-      for (std::size_t i = 0; i < count && pos + 2 <= d.size();
-           ++i, pos += 2)
-        parsed.emplace_back(peer, TimedObs{d[pos], d[pos + 1]});
+      for (std::size_t i = 0; obs != nullptr && i < *count; ++i)
+        obs->emplace_back(static_cast<ProcessorId>(*peer),
+                          TimedObs{d[pos + 2 * i], d[pos + 2 * i + 1]});
+      pos += 2 * *count;
     }
+    if (pos != d.size()) return std::nullopt;
+    return head;
+  }
+
+  /// Absorbs a report read_report accepts (the leader's own, or one
+  /// handle_report has read).
+  void absorb_report(std::span<const double> d) {
+    ParsedObs parsed;
+    const auto [origin, epoch] = read_report(d, &parsed).value();
 
     if (epoch <= computed_through_) {
       // The epoch was already (degraded-)computed; the late observations
@@ -324,25 +375,27 @@ class SyncAgentAutomaton final : public Automaton {
     }
     results_->ack(epoch, self_);
 
-    Payload corr;
-    corr.tag = kTagLiveCorrections;
-    corr.data = {static_cast<double>(epoch),
-                 (degraded ? 1.0 : 0.0) + (detected ? 2.0 : 0.0),
-                 *result.claimed_precision,
-                 static_cast<double>(out.corrections.size())};
-    corr.data.insert(corr.data.end(), out.corrections.begin(),
-                     out.corrections.end());
+    // Corrections payload: [epoch, flags, precision, count, then count
+    // corrections].
+    std::vector<double> data = {
+        static_cast<double>(epoch),
+        (degraded ? 1.0 : 0.0) + (detected ? 2.0 : 0.0),
+        *result.claimed_precision,
+        static_cast<double>(out.corrections.size())};
+    data.insert(data.end(), out.corrections.begin(), out.corrections.end());
+    const Payload corr{kTagLiveCorrections, data};
     seen_corrections_.insert(epoch);
     for (ProcessorId nb : ctx.neighbors()) ctx.send(nb, corr);
   }
 
   void handle_corrections(Context& ctx, const Message& msg) {
-    const auto& d = msg.payload.data;
+    // A malformed frame is dropped whole: not acked, not forwarded.
+    const PayloadData& d = msg.payload.data;
     if (d.size() < 4) return;
-    const auto epoch = static_cast<std::size_t>(d[0]);
-    if (epoch == 0 || epoch > params_.epochs) return;
-    if (!seen_corrections_.insert(epoch).second) return;
-    results_->ack(epoch, self_);
+    const auto epoch = checked_field(d[0], 1, params_.epochs);
+    if (!epoch || !checked_field(d[3], d.size() - 4, d.size() - 4)) return;
+    if (!seen_corrections_.insert(*epoch).second) return;
+    results_->ack(*epoch, self_);
     for (ProcessorId nb : ctx.neighbors())
       if (nb != msg.from) ctx.send(nb, msg.payload);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -97,7 +98,7 @@ RunStats AgentHost::run(const AutomatonFactory& factory,
     ev.due = agents_[p].clock.start();
     ev.seq = next_seq_++;
     ev.pid = p;
-    heap_.push(std::move(ev));
+    push_event(std::move(ev));
   }
 
   RunStats stats;
@@ -108,6 +109,7 @@ RunStats AgentHost::run(const AutomatonFactory& factory,
     stats.timed_out = done && !done();
   }
   stats.dispatched = dispatched_;
+  publish_counters();
 
   if (options_.trace != nullptr) {
     // Tallies cover *recorded* events only, so a replay of the trace
@@ -121,6 +123,32 @@ RunStats AgentHost::run(const AutomatonFactory& factory,
   return stats;
 }
 
+void AgentHost::push_event(Pending ev) {
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+AgentHost::Pending AgentHost::pop_event() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  Pending ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
+}
+
+void AgentHost::publish_counters() const {
+  if (options_.metrics == nullptr) return;
+  // One add per counter instead of a locked, string-keyed increment per
+  // event.  A zero counter stays absent, as it did when nothing ever
+  // incremented it, so every report keeps its key set.
+  const std::pair<const char*, std::size_t> counters[] = {
+      {"runtime.dispatched", dispatched_},
+      {"runtime.sent", recorded_sent_},
+      {"runtime.delivered", recorded_delivered_},
+      {"runtime.dropped", dropped_}};
+  for (const auto& [name, count] : counters)
+    if (count > 0) options_.metrics->increment(name, count);
+}
+
 void AgentHost::run_virtual(const std::function<bool()>& done) {
   auto* vt = dynamic_cast<VirtualTimeBase*>(&time_);
   if (vt == nullptr)
@@ -129,8 +157,7 @@ void AgentHost::run_virtual(const std::function<bool()>& done) {
     if (done && done()) break;
     if (dispatched_ >= options_.max_events)
       throw Error("AgentHost: exceeded max_events (runaway protocol?)");
-    const Pending ev = heap_.top();
-    heap_.pop();
+    const Pending ev = pop_event();
     vt->advance_to(ev.due);
     dispatch(ev);
   }
@@ -185,9 +212,8 @@ void AgentHost::run_wall(const std::function<bool()>& done) {
       continue;
     }
 
-    if (!heap_.empty() && !(now < heap_.top().due)) {
-      Pending ev = heap_.top();
-      heap_.pop();
+    if (!heap_.empty() && !(now < heap_.front().due)) {
+      Pending ev = pop_event();
       lock.unlock();
       ev.due = time_.now();  // dispatch at the actual instant
       dispatch(ev);
@@ -198,7 +224,7 @@ void AgentHost::run_wall(const std::function<bool()>& done) {
     const double until_deadline = (deadline - now).sec;
     double wait_s = heap_.empty()
                         ? 0.05
-                        : std::max((heap_.top().due - now).sec, 0.0);
+                        : std::max((heap_.front().due - now).sec, 0.0);
     wait_s = std::min({wait_s, until_deadline, 0.05});
     cv_.wait_for(lock, std::chrono::duration<double>(
                            std::max(wait_s, 1e-4)));
@@ -207,7 +233,6 @@ void AgentHost::run_wall(const std::function<bool()>& done) {
 
 void AgentHost::dispatch(const Pending& ev) {
   ++dispatched_;
-  metrics_increment(options_.metrics, "runtime.dispatched");
   Agent& agent = agents_[ev.pid];
   const RealTime tnow = ev.due;
   const ClockTime local = agent.clock.at(tnow);
@@ -238,7 +263,6 @@ void AgentHost::dispatch(const Pending& ev) {
       if (record) {
         builder_.receive(ev.pid, local, ev.message.id, ev.message.from);
         ++recorded_delivered_;
-        metrics_increment(options_.metrics, "runtime.delivered");
         if (options_.trace != nullptr)
           options_.trace->record_delivery(tnow, ev.pid, ev.message.from,
                                           ev.message.id, local);
@@ -269,7 +293,7 @@ void AgentHost::do_send(ProcessorId from, ProcessorId to, Payload payload,
       !options_.trace_filter || options_.trace_filter(payload);
   if (record) {
     builder_.send(from, local, id, to);
-    metrics_increment(options_.metrics, "runtime.sent");
+    ++recorded_sent_;
     if (options_.trace != nullptr)
       options_.trace->record_send(tnow, from, to, id, local);
   }
@@ -279,8 +303,8 @@ void AgentHost::do_send(ProcessorId from, ProcessorId to, Payload payload,
   wire.from = from;
   wire.to = to;
   wire.payload = std::move(payload);
-  if (!transport_.send(wire)) {
-    metrics_increment(options_.metrics, "runtime.dropped");
+  if (!transport_.send(std::move(wire))) {
+    ++dropped_;
     if (record) {
       ++recorded_dropped_;
       if (options_.trace != nullptr)
@@ -303,7 +327,7 @@ void AgentHost::do_set_timer(ProcessorId pid, ClockTime at, RealTime tnow,
   ev.seq = next_seq_++;
   ev.pid = pid;
   ev.timer_at = at;
-  heap_.push(std::move(ev));
+  push_event(std::move(ev));
 }
 
 void AgentHost::schedule_delivery(RealTime at, WireMessage msg) {
@@ -317,7 +341,7 @@ void AgentHost::schedule_delivery(RealTime at, WireMessage msg) {
   ev.pid = msg.to;
   ev.message =
       Message{msg.id, msg.from, msg.to, std::move(msg.payload)};
-  heap_.push(std::move(ev));
+  push_event(std::move(ev));
 }
 
 }  // namespace cs

@@ -42,7 +42,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <vector>
 
 #include "runtime/clock.hpp"
@@ -68,7 +67,9 @@ struct HostOptions {
   /// until the event heap drains).
   Duration deadline{30.0};
 
-  /// Optional "runtime.*" counters and ingest-latency series.
+  /// Optional "runtime.*" counters and ingest-latency series.  The host
+  /// counts runtime.dispatched/sent/delivered/dropped itself and adds the
+  /// non-zero ones here once, when run() returns.
   Metrics* metrics{nullptr};
 
   /// Optional trace recording (same TraceSink seam the simulator uses).
@@ -125,6 +126,9 @@ class AgentHost final : public VirtualScheduler {
     }
   };
 
+  void push_event(Pending ev);
+  Pending pop_event();
+  void publish_counters() const;
   void dispatch(const Pending& ev);
   void do_send(ProcessorId from, ProcessorId to, Payload payload,
                RealTime tnow, ClockTime local);
@@ -141,9 +145,10 @@ class AgentHost final : public VirtualScheduler {
   std::vector<Agent> agents_;
   OnlineViewBuilder builder_;
 
-  // Virtual mode: the single event heap (dispatch thread only).
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
-      heap_;
+  // Virtual mode: the single event heap (dispatch thread only), a min-heap
+  // on (due, seq) under std::push_heap / std::pop_heap so each popped
+  // event is moved out, payload and all.
+  std::vector<Pending> heap_;
   std::uint64_t next_seq_{0};
 
   // Wall mode: transport threads feed the mailbox; timers/starts use the
@@ -157,7 +162,13 @@ class AgentHost final : public VirtualScheduler {
   std::deque<Inbound> mailbox_;
 
   MessageId next_msg_id_{1};
+  // runtime.dispatched/sent/delivered/dropped, published once by
+  // publish_counters().  sent and delivered count recorded traffic only;
+  // dropped_ counts every transport drop, recorded_dropped_ (the trace's
+  // tally) only the recorded ones.
   std::size_t dispatched_{0};
+  std::size_t recorded_sent_{0};
+  std::size_t dropped_{0};
   std::size_t recorded_delivered_{0};
   std::size_t recorded_dropped_{0};
   std::size_t recorded_timer_fires_{0};

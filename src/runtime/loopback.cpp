@@ -1,20 +1,13 @@
 #include "runtime/loopback.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace cs {
-
-namespace {
-
-std::uint64_t link_key(ProcessorId a, ProcessorId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
 
 LoopbackTransport::LoopbackTransport(const SystemModel& model,
                                      const TimeBase& time,
@@ -37,7 +30,6 @@ LoopbackTransport::LoopbackTransport(const SystemModel& model,
     Link link{make_admissible_sampler(model.constraint(a, b),
                                       options_.delay_scale, setup),
               master.split(2 * i), master.split(2 * i + 1)};
-    link_index_[link_key(a, b)] = links_.size();
     links_.push_back(std::move(link));
   }
   sinks_.resize(model.processor_count());
@@ -68,12 +60,14 @@ void LoopbackTransport::stop() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-bool LoopbackTransport::send(const WireMessage& msg) {
-  const auto it = link_index_.find(link_key(msg.from, msg.to));
-  if (it == link_index_.end())
+bool LoopbackTransport::send(WireMessage msg) {
+  // The model's direction slot is 2·link + side, in the topology link order
+  // links_ was built in.
+  const std::size_t dir = model_->direction(msg.from, msg.to);
+  if (dir == SystemModel::kNoDirection)
     throw Error("LoopbackTransport: send across a non-link pair " +
                 std::to_string(msg.from) + "-" + std::to_string(msg.to));
-  Link& link = links_[it->second];
+  Link& link = links_[dir / 2];
 
   if (options_.drop_probability > 0.0 &&
       link.drop_rng.uniform01() < options_.drop_probability) {
@@ -92,13 +86,14 @@ bool LoopbackTransport::send(const WireMessage& msg) {
 
   const RealTime due = now + Duration{delay};
   if (sched_ != nullptr) {
-    sched_->schedule_delivery(due, msg);
+    sched_->schedule_delivery(due, std::move(msg));
     return true;
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    heap_.push(Pending{due.sec, seq_++, msg});
+    heap_.push_back(Pending{due.sec, seq_++, std::move(msg)});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
   cv_.notify_all();
   return true;
@@ -112,16 +107,18 @@ void LoopbackTransport::dispatcher_loop() {
       cv_.wait(lock, [this] { return !running_ || !heap_.empty(); });
       continue;
     }
-    const double due = heap_.top().due;
+    const double due = heap_.front().due;
     const double now = time_->now().sec;
     if (now < due) {
       cv_.wait_for(lock, std::chrono::duration<double>(due - now));
       continue;
     }
-    const Pending next = heap_.top();
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Pending next = std::move(heap_.back());
+    heap_.pop_back();
     lock.unlock();
-    if (const DeliverFn& sink = sinks_[next.msg.to]) sink(next.msg);
+    if (const DeliverFn& sink = sinks_[next.msg.to])
+      sink(std::move(next.msg));
     lock.lock();
   }
 }

@@ -28,9 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -62,7 +60,7 @@ class LoopbackTransport final : public Transport {
   void open(ProcessorId pid, DeliverFn sink) override;
   void start() override;
   void stop() override;
-  bool send(const WireMessage& msg) override;
+  bool send(WireMessage msg) override;
   const char* name() const override {
     return sched_ != nullptr ? "loopback" : "loopback-threaded";
   }
@@ -94,14 +92,14 @@ class LoopbackTransport final : public Transport {
   VirtualScheduler* sched_;
   LoopbackOptions options_;
 
-  std::unordered_map<std::uint64_t, std::size_t> link_index_;
-  std::vector<Link> links_;
+  std::vector<Link> links_;  // topology link order: model_->direction() / 2
   std::vector<DeliverFn> sinks_;
   std::size_t dropped_{0};
   std::uint64_t seq_{0};
 
-  // Threaded mode only.
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap_;
+  // Threaded mode only: a min-heap on (due, seq) under std::push_heap /
+  // std::pop_heap, so the dispatcher moves each due datagram out.
+  std::vector<Pending> heap_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::thread dispatcher_;

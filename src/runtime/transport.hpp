@@ -62,11 +62,12 @@ class Transport {
   /// Stops delivery and joins any transport threads.  Idempotent.
   virtual void stop() {}
 
-  /// Hand a datagram to the transport.  Returns false when the transport
-  /// dropped it locally (injected loss, serialization overflow) — the
-  /// caller records the loss; a true return is *not* a delivery guarantee
-  /// (datagram semantics).
-  virtual bool send(const WireMessage& msg) = 0;
+  /// Hand a datagram to the transport, which takes it over: a virtual-time
+  /// loopback moves it on into the host's heap, so a flood hop never copies
+  /// its payload.  Returns false when the transport dropped it locally
+  /// (injected loss, serialization overflow) — the caller records the loss;
+  /// a true return is *not* a delivery guarantee (datagram semantics).
+  virtual bool send(WireMessage msg) = 0;
 
   virtual const char* name() const = 0;
 

@@ -99,7 +99,7 @@ void UdpTransport::stop() {
     if (ep.reader.joinable()) ep.reader.join();
 }
 
-bool UdpTransport::send(const WireMessage& msg) {
+bool UdpTransport::send(WireMessage msg) {
   if (msg.from >= endpoints_.size() || msg.to >= endpoints_.size())
     throw Error("UdpTransport: send endpoint out of range");
   if (msg.payload.data.size() > net::max_full_doubles())
@@ -110,7 +110,7 @@ bool UdpTransport::send(const WireMessage& msg) {
   full.from = msg.from;
   full.to = msg.to;
   full.tag = msg.payload.tag;
-  full.data = msg.payload.data;
+  full.data.assign(msg.payload.data.begin(), msg.payload.data.end());
   const std::vector<std::uint8_t> buf =
       net::encode(net::Frame{std::move(full)});
 

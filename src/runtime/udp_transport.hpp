@@ -56,7 +56,7 @@ class UdpTransport final : public Transport {
   void open(ProcessorId pid, DeliverFn sink) override;
   void start() override;
   void stop() override;
-  bool send(const WireMessage& msg) override;
+  bool send(WireMessage msg) override;
   const char* name() const override { return "udp"; }
 
   /// Error-path instrumentation sink ("runtime.udp.poll_error",

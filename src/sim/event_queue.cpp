@@ -1,5 +1,7 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -7,18 +9,20 @@
 namespace cs {
 
 void EventQueue::push(RealTime at, SimEvent ev) {
-  heap_.push(Entry{at, next_seq_++, std::move(ev)});
+  heap_.push_back(Entry{at, next_seq_++, std::move(ev)});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
 RealTime EventQueue::next_time() const {
   if (heap_.empty()) throw Error("EventQueue::next_time on an empty queue");
-  return heap_.top().at;
+  return heap_.front().at;
 }
 
 SimEvent EventQueue::pop() {
   if (heap_.empty()) throw Error("EventQueue::pop on an empty queue");
-  SimEvent ev = heap_.top().ev;
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  SimEvent ev = std::move(heap_.back().ev);
+  heap_.pop_back();
   return ev;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/time.hpp"
@@ -41,7 +40,9 @@ class EventQueue {
       return seq > o.seq;
     }
   };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  // A min-heap on (at, seq) under std::push_heap / std::pop_heap, so pop()
+  // moves the earliest event out.
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_{0};
 };
 

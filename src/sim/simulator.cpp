@@ -306,7 +306,7 @@ class SimulatorImpl {
     ev.kind = SimEvent::Kind::kDelivery;
     ev.processor = to;
     ev.message = msg;
-    queue_.push(arrival, ev);
+    queue_.push(arrival, std::move(ev));
 
     if (fault.duplicate) {
       // Second delivery of the *same* message id, a little later — the
@@ -318,7 +318,7 @@ class SimulatorImpl {
       dup.kind = SimEvent::Kind::kDelivery;
       dup.processor = to;
       dup.message = std::move(msg);
-      queue_.push(arrival + Duration{fault.duplicate_lag}, dup);
+      queue_.push(arrival + Duration{fault.duplicate_lag}, std::move(dup));
     }
   }
 
@@ -339,7 +339,7 @@ class SimulatorImpl {
     ev.kind = SimEvent::Kind::kTimer;
     ev.processor = pid;
     ev.timer_at = at;
-    queue_.push(proc.clock.real(at), ev);
+    queue_.push(proc.clock.real(at), std::move(ev));
   }
 
   const SystemModel& model_;

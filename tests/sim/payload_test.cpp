@@ -28,8 +28,10 @@ class EchoProbe final : public Automaton {
     if (msg.payload.tag == 0xBEEF) {
       Payload back;
       back.tag = 0xCAFE;
-      back.data = msg.payload.data;  // echo
-      back.data.push_back(static_cast<double>(msg.from));
+      std::vector<double> echo(msg.payload.data.begin(),
+                               msg.payload.data.end());
+      echo.push_back(static_cast<double>(msg.from));
+      back.data = echo;
       ctx.send(msg.from, back);
     }
   }
@@ -65,6 +67,42 @@ TEST(Payload, RoundTripsThroughTheSimulator) {
   EXPECT_EQ(echo.tag, 0xCAFEu);
   ASSERT_EQ(echo.data.size(), 5u);
   EXPECT_DOUBLE_EQ(echo.data[4], 0.0);  // echoed sender id
+}
+
+TEST(Payload, CopiesShareOneBuffer) {
+  Payload original;
+  original.tag = 7;
+  original.data = std::vector<double>{1.5, -2.25, 3.0};
+
+  // A copy is a refcount bump: it reads the very same doubles.
+  const Payload copy = original;
+  EXPECT_EQ(copy.data.begin(), original.data.begin());
+  EXPECT_EQ(copy, original);
+
+  // == compares contents, not buffers.
+  Payload rebuilt;
+  rebuilt.tag = 7;
+  rebuilt.data = {1.5, -2.25, 3.0};
+  EXPECT_NE(rebuilt.data.begin(), original.data.begin());
+  EXPECT_EQ(rebuilt, original);
+  rebuilt.data = {1.5, -2.25, 4.0};
+  EXPECT_NE(rebuilt, original);
+
+  // An echo built from a received payload gets its own buffer and leaves
+  // the original as it was.
+  std::vector<double> echo(original.data.begin(), original.data.end());
+  echo.push_back(9.0);
+  Payload back;
+  back.data = echo;
+  EXPECT_NE(back.data.begin(), original.data.begin());
+  ASSERT_EQ(back.data.size(), 4u);
+  EXPECT_EQ(back.data[3], 9.0);
+  ASSERT_EQ(original.data.size(), 3u);
+  EXPECT_EQ(original.data[2], 3.0);
+  EXPECT_EQ(copy, original);
+
+  EXPECT_TRUE(Payload{}.data.empty());
+  EXPECT_EQ(Payload{}, Payload{});
 }
 
 TEST(Payload, NeighborsAreSortedAndCorrect) {
