@@ -35,28 +35,90 @@ std::string format_double(double v) {
   return out;
 }
 
-std::optional<double> parse_number(std::string_view tok) {
-  double v = 0.0;
-  const char* const end = tok.data() + tok.size();
+const char* read_number(const char* first, const char* last, double& v) {
   const auto [ptr, ec] =
-      std::from_chars(tok.data(), end, v, std::chars_format::general);
-  if (ec != std::errc{} || ptr != end || std::isnan(v)) return std::nullopt;
+      std::from_chars(first, last, v, std::chars_format::general);
+  if (ec != std::errc{} || std::isnan(v)) return nullptr;
+  return ptr;
+}
+
+const char* read_u64(const char* first, const char* last, std::uint64_t& v) {
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  return ec == std::errc{} ? ptr : nullptr;
+}
+
+const char* read_id(const char* first, const char* last, std::uint32_t& v) {
+  std::uint64_t wide = 0;
+  const char* const end = read_u64(first, last, wide);
+  if (end == nullptr || wide > std::numeric_limits<std::uint32_t>::max())
+    return nullptr;
+  v = static_cast<std::uint32_t>(wide);
+  return end;
+}
+
+namespace {
+
+/// `read` over the whole of `tok`, or nullopt.
+template <class T>
+std::optional<T> parse_whole(std::string_view tok,
+                             const char* (*read)(const char*, const char*,
+                                                 T&)) {
+  T v{};
+  const char* const end = tok.data() + tok.size();
+  const char* const stop = read(tok.data(), end, v);
+  if (stop == nullptr || stop != end) return std::nullopt;
   return v;
+}
+
+}  // namespace
+
+std::optional<double> parse_number(std::string_view tok) {
+  return parse_whole(tok, read_number);
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view tok) {
-  std::uint64_t v = 0;
-  const char* const end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return v;
+  return parse_whole(tok, read_u64);
 }
 
 std::optional<std::uint32_t> parse_id(std::string_view tok) {
-  const std::optional<std::uint64_t> v = parse_u64(tok);
-  if (!v || *v > std::numeric_limits<std::uint32_t>::max())
-    return std::nullopt;
-  return static_cast<std::uint32_t>(*v);
+  return parse_whole(tok, read_id);
+}
+
+void Fields::skip_space() {
+  while (p_ != end_ && is_space(*p_)) ++p_;
+}
+
+bool Fields::ends_field(const char* stop) {
+  if (stop == nullptr || (stop != end_ && !is_space(*stop))) return false;
+  p_ = stop;
+  return true;
+}
+
+std::string_view Fields::word() {
+  skip_space();
+  const char* const start = p_;
+  while (p_ != end_ && !is_space(*p_)) ++p_;
+  return {start, static_cast<std::size_t>(p_ - start)};
+}
+
+bool Fields::number(double& v) {
+  skip_space();
+  return ends_field(read_number(p_, end_, v));
+}
+
+bool Fields::u64(std::uint64_t& v) {
+  skip_space();
+  return ends_field(read_u64(p_, end_, v));
+}
+
+bool Fields::id(std::uint32_t& v) {
+  skip_space();
+  return ends_field(read_id(p_, end_, v));
+}
+
+bool Fields::done() {
+  skip_space();
+  return p_ == end_;
 }
 
 LineReader::LineReader(std::istream& is, std::string context)
@@ -66,6 +128,22 @@ bool LineReader::next_raw() {
   tokens_.clear();
   if (!std::getline(is_, line_)) return false;
   ++line_no_;
+  split();
+  return true;
+}
+
+bool LineReader::next_unsplit() {
+  tokens_.clear();
+  while (std::getline(is_, line_)) {
+    ++line_no_;
+    const auto first = std::find_if_not(line_.begin(), line_.end(), is_space);
+    if (first != line_.end() && *first != '#') return true;
+  }
+  return false;
+}
+
+void LineReader::split() {
+  tokens_.clear();
   const char* p = line_.data();
   const char* const end = p + line_.size();
   while (true) {
@@ -75,13 +153,12 @@ bool LineReader::next_raw() {
     while (p != end && !is_space(*p)) ++p;
     tokens_.emplace_back(start, static_cast<std::size_t>(p - start));
   }
-  return true;
 }
 
 bool LineReader::next() {
-  while (next_raw())
-    if (!tokens_.empty() && tokens_[0].front() != '#') return true;
-  return false;
+  if (!next_unsplit()) return false;
+  split();
+  return true;
 }
 
 bool LineReader::is(std::string_view words) const {

@@ -1,11 +1,17 @@
 // The text codec of the line-based formats (trace, views, model): a
-// whitespace tokenizer over one reused line buffer, whole-token number
+// whitespace tokenizer over one reused line buffer, whole-field number
 // parsing on std::from_chars, and double printing on std::to_chars.
 //
 // Doubles print as printf("%.17g") would print them — 17 significant
 // digits, so every finite double (subnormals included) and ±inf reads back
 // bit for bit.  The reader accepts std::from_chars's decimal grammar less
 // NaN; docs/TRACE.md §1 states it.
+//
+// Hot records (the trace's event lines) are read in place: Fields walks a
+// line's fields left to right with the same number grammar (read_number
+// and friends, which parse_number and friends are built on) and no token
+// vector.  A line it refuses is split and read by the checked LineReader
+// path, the one source of error text.
 #pragma once
 
 #include <concepts>
@@ -37,6 +43,42 @@ std::optional<std::uint64_t> parse_u64(std::string_view tok);
 /// of 2^32 or more is refused before it could narrow onto a valid one.
 std::optional<std::uint32_t> parse_id(std::string_view tok);
 
+/// The cursor forms of the three parsers: read the number that starts at
+/// `first` and may be followed by more text before `last`, with the same
+/// grammar and range rules.  Return one past the number's last character,
+/// or nullptr (and `v` unspecified) when none is read.  The whole-token
+/// parsers are these with the end required at the token's end.
+const char* read_number(const char* first, const char* last, double& v);
+const char* read_u64(const char* first, const char* last, std::uint64_t& v);
+const char* read_id(const char* first, const char* last, std::uint32_t& v);
+
+/// In-place reader of one line's whitespace-separated fields, left to
+/// right.  Each read skips the whitespace run before its field; a number
+/// read must take the whole field.  A read that finds no field, or a field
+/// the grammar refuses, returns false and leaves the cursor unspecified:
+/// the caller then hands the line to the checked path.  Never throws.
+class Fields {
+ public:
+  explicit Fields(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next field; empty when none is left.
+  std::string_view word();
+  bool number(double& v);
+  bool u64(std::uint64_t& v);
+  bool id(std::uint32_t& v);
+  /// True when nothing but whitespace is left.
+  bool done();
+
+ private:
+  void skip_space();
+  /// True when `stop` (a parser's end, or nullptr) closes a whole field.
+  bool ends_field(const char* stop);
+
+  const char* p_;
+  const char* end_;
+};
+
 /// Line-by-line reader of a text document.  Each advance reads one line
 /// into a reused buffer and splits it at ASCII whitespace; tokens are views
 /// into that buffer and are invalidated by the next advance.  Errors throw
@@ -50,6 +92,11 @@ class LineReader {
   bool next();
   /// Advances to the next line, whatever it holds; false at end of input.
   bool next_raw();
+  /// next() without the split: the line is there for an in-place read
+  /// (Fields over line()) and size() is 0 until split() runs.
+  bool next_unsplit();
+  /// Splits the current line into tokens.
+  void split();
 
   const std::string& line() const { return line_; }
   std::size_t line_no() const { return line_no_; }

@@ -1,5 +1,7 @@
 #include "core/epochs.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,22 +31,48 @@ std::vector<EpochOutcome> epochal_synchronize_incremental(
   Metrics* metrics = options.sync.metrics;
   IncrementalSynchronizer dense(model, options.sync);
   MlsCarry carry(options.staleness, metrics);
+  const bool windowed = options.window > Duration{0.0};
+
+  // Prefix cuts of clock-ordered views on an extremes model take one
+  // ingest pass: each boundary pairs only the events it adds and folds
+  // them into one cumulative LinkStats (min, max and count over the same
+  // delays are exact, so the m̃ls graph is the per-cut one).  Otherwise
+  // every cut is copied and ingested on its own.
+  const bool one_pass =
+      !windowed && model.extreme_sufficient() &&
+      std::all_of(views.begin(), views.end(),
+                  [](const View& v) { return v.in_clock_order(); });
+  std::optional<PrefixPairer> pairer;
+  std::optional<LinkStats> stats;
+  std::vector<View> cuts;
+  if (one_pass) {
+    pairer.emplace(views);
+    stats.emplace(model);
+  } else {
+    cuts.resize(views.size());
+  }
 
   std::vector<EpochOutcome> out;
   out.reserve(boundaries.size());
-  std::vector<View> cuts(views.size());
   for (const ClockTime boundary : boundaries) {
     auto timer = Metrics::scoped(metrics, "stage.epoch_seconds");
-    for (std::size_t p = 0; p < views.size(); ++p)
-      cuts[p] = options.window > Duration{0.0}
-                    ? views[p].window(boundary - options.window, boundary)
-                    : views[p].prefix(boundary);
-
     EpochOutcome epoch;
     epoch.boundary = boundary;
 
     Digraph mls;
-    {
+    if (one_pass) {
+      auto est_timer =
+          Metrics::scoped(metrics, "stage.local_estimates_seconds");
+      for (const PairedMessage& m : pairer->advance(boundary))
+        stats->add(m.from, m.to, m.estimated_delay().sec);
+      epoch.pairing = pairer->stats();
+      epoch.coverage = link_coverage(model, *stats);
+      mls = mls_graph_from_stats(model, *stats);
+    } else {
+      for (std::size_t p = 0; p < views.size(); ++p)
+        cuts[p] = windowed
+                      ? views[p].window(boundary - options.window, boundary)
+                      : views[p].prefix(boundary);
       auto est_timer =
           Metrics::scoped(metrics, "stage.local_estimates_seconds");
       // Epoch cuts are taken at clock boundaries, so orphan receives are

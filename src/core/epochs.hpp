@@ -76,6 +76,15 @@ struct EpochOptions {
 /// Results agree with synchronize() on the same cuts to float tolerance.
 /// options.sync.metrics additionally receives per-epoch stage timings and
 /// incremental-vs-rebuild hit counters.
+///
+/// Ingest takes one pass across the epochs when the cuts are prefixes
+/// (window 0), the model is extreme-sufficient and every view is in clock
+/// order (View::in_clock_order): a PrefixPairer (model/pairing.hpp) pairs
+/// only what each boundary adds, into one cumulative LinkStats.  Its m̃ls
+/// graphs, coverage and pairing tallies are bit for bit those of
+/// ingest_views on the View::prefix cuts, and it throws the same
+/// InvalidExecution at the same boundary.  Otherwise each view's cut is
+/// copied and ingested on its own.
 std::vector<EpochOutcome> epochal_synchronize_incremental(
     const SystemModel& model, std::span<const View> views,
     std::span<const ClockTime> boundaries, const EpochOptions& options = {});

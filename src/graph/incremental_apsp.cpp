@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "graph/csr.hpp"
 #include "graph/johnson.hpp"
@@ -24,6 +29,26 @@ inline NodeId key_to(std::uint64_t k) {
 /// wrong answer, so lean on the side of dirtiness against float noise.
 inline double tie_tol(double reference) {
   return 1e-9 * (1.0 + std::fabs(reference));
+}
+
+/// row[j] = (via + tail[j] < row[j]) ? via + tail[j] : row[j] for j < n,
+/// without a branch.  SSE2 minpd(a, b) is exactly the select a < b ? a : b
+/// (ties and unordered operands give b), so both forms round and compare
+/// alike: a +inf tail leaves the entry as it was.  `row` and `tail` are
+/// distinct rows.
+void lower_row(double* row, const double* tail, double via, std::size_t n) {
+  std::size_t j = 0;
+#if defined(__SSE2__)
+  const __m128d v = _mm_set1_pd(via);
+  for (; j + 2 <= n; j += 2) {
+    const __m128d c = _mm_add_pd(v, _mm_loadu_pd(tail + j));
+    _mm_storeu_pd(row + j, _mm_min_pd(c, _mm_loadu_pd(row + j)));
+  }
+#endif
+  for (; j < n; ++j) {
+    const double c = via + tail[j];
+    row[j] = c < row[j] ? c : row[j];
+  }
 }
 
 }  // namespace
@@ -74,7 +99,7 @@ bool IncrementalApsp::update(const Digraph& g) {
     return ok;
   }
 
-  const EdgeMap next = condense(g);
+  EdgeMap next = condense(g);
 
   // Delta vs the accepted graph.  A vanished edge is an increase to +inf;
   // a fresh edge is a decrease from +inf.
@@ -209,15 +234,12 @@ bool IncrementalApsp::update(const Digraph& g) {
       metrics_increment(metrics_, "apsp.negative_cycles");
       return false;
     }
+    // Row v itself cannot fall: there via = D(v,u) + w' >= 0.
+    const double* tail = &dist_.at(d.to, 0);
     for (std::size_t i = 0; i < n_; ++i) {
       const double head = dist_.at(i, d.from);
-      if (head == kInfDist) continue;
-      const double via = head + d.new_w;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double tail = dist_.at(d.to, j);
-        if (tail == kInfDist) continue;
-        if (via + tail < dist_.at(i, j)) dist_.at(i, j) = via + tail;
-      }
+      if (i == d.to || head == kInfDist) continue;
+      lower_row(&dist_.at(i, 0), tail, head + d.new_w, n_);
     }
   }
 
@@ -230,7 +252,7 @@ bool IncrementalApsp::update(const Digraph& g) {
       return false;
     }
 
-  weights_ = next;
+  weights_ = std::move(next);
   refresh_potentials();
   last_step_.path = StepStats::Path::kIncremental;
   last_step_.incremental = true;

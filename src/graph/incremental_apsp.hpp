@@ -14,7 +14,11 @@
 //   * weight *decreases* (and new edges) are exact rank-one min-plus
 //     updates: D(i,j) <- min(D(i,j), D(i,u) + w' + D(v,j)), O(n^2) per
 //     changed edge — no path that uses the cheaper edge more than once can
-//     win while the graph has no negative cycle;
+//     win while the graph has no negative cycle.  Each row is the
+//     branch-free select row[j] = (via + tail[j] < row[j]) ? via + tail[j]
+//     : row[j] (SSE2 minpd where available), the same float expression and
+//     comparison as the branchy loop it replaced, so every entry is bit for
+//     bit what that loop gives (tests/oracles/delta_apsp.hpp);
 //   * weight *increases* (and removed edges, i.e. weight -> +inf) dirty
 //     exactly the rows whose old shortest paths were tight through the
 //     changed edge; only those rows are recomputed, by Dijkstra under the

@@ -1,6 +1,7 @@
 #include "model/pairing.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/flat_index.hpp"
@@ -8,75 +9,132 @@
 namespace cs {
 namespace {
 
-struct SendRecord {
-  ProcessorId from;
-  ProcessorId to;
-  ClockTime when;
+struct EventCounts {
+  std::size_t sends{0};
+  std::size_t receives{0};
 };
 
+EventCounts count_events(std::span<const View> views) {
+  EventCounts n;
+  for (const View& v : views)
+    for (const ViewEvent& e : v.events) {
+      n.sends += e.kind == EventKind::kSend;
+      n.receives += e.kind == EventKind::kReceive;
+    }
+  return n;
+}
+
 }  // namespace
+
+void SendIndex::fail(const char* what) { throw InvalidExecution(what); }
+
+SendIndex::SendIndex(std::size_t capacity)
+    : index_(capacity), received_(capacity, false) {
+  // FlatIndex refuses a capacity whose slot numbers would not fit its
+  // values, and more sends than the capacity.
+  sends_.reserve(capacity);
+}
 
 std::vector<PairedMessage> pair_messages(std::span<const View> views,
                                          MatchPolicy policy,
                                          PairingStats* stats) {
-  std::size_t send_count = 0, receive_count = 0;
-  for (const View& v : views)
-    for (const ViewEvent& e : v.events) {
-      send_count += e.kind == EventKind::kSend;
-      receive_count += e.kind == EventKind::kReceive;
-    }
+  const EventCounts counts = count_events(views);
 
-  // The send array in view order, indexed by message id.  FlatIndex
-  // refuses a capacity whose slot numbers would not fit its values.
-  FlatIndex index(send_count);
-  std::vector<SendRecord> sends;
-  sends.reserve(send_count);
+  // Every send first: a duplicate id among them throws before a receive
+  // is looked at.
+  SendIndex index(counts.sends);
   for (const View& v : views)
-    for (const ViewEvent& e : v.events) {
-      if (e.kind != EventKind::kSend) continue;
-      if (index.insert(e.msg, static_cast<std::uint32_t>(sends.size())) !=
-          FlatIndex::kAbsent)
-        throw InvalidExecution("duplicate message id among sends");
-      sends.push_back(SendRecord{v.pid, e.peer, e.when});
-    }
+    for (const ViewEvent& e : v.events)
+      if (e.kind == EventKind::kSend) index.add_send(v.pid, e);
 
   std::vector<PairedMessage> out;
-  out.reserve(std::min(send_count, receive_count));
-  std::vector<bool> received(sends.size(), false);  // by send slot
+  out.reserve(std::min(counts.sends, counts.receives));
   for (const View& v : views) {
     for (const ViewEvent& e : v.events) {
       if (e.kind != EventKind::kReceive) continue;
-      const std::uint32_t i = index.find(e.msg);
-      if (i == FlatIndex::kAbsent) {
-        if (policy == MatchPolicy::kDropOrphans) {
+      PairedMessage m;
+      switch (index.receive(v.pid, e, m)) {
+        case SendIndex::Match::kPaired:
+          out.push_back(std::move(m));
+          break;
+        case SendIndex::Match::kOrphan:
+          if (policy == MatchPolicy::kStrict)
+            throw InvalidExecution("receive event with no matching send");
           if (stats != nullptr) ++stats->orphan_receives;
-          continue;
-        }
-        throw InvalidExecution("receive event with no matching send");
-      }
-      const SendRecord& s = sends[i];
-      if (s.to != v.pid || s.from != e.peer)
-        throw InvalidExecution("message endpoints disagree between views");
-      // Exactly one PairedMessage per send: a re-received id is a faulty
-      // network's duplicate.  Strict pairing rejects it; orphan-dropping
-      // pairing keeps the earliest copy (events are in per-processor time
-      // order, and both receives live in the same receiver's view).
-      if (received[i]) {
-        if (policy == MatchPolicy::kDropOrphans) {
+          break;
+        case SendIndex::Match::kDuplicate:
+          if (policy == MatchPolicy::kStrict)
+            throw InvalidExecution("message received twice");
           if (stats != nullptr) ++stats->duplicate_receives;
-          continue;
-        }
-        throw InvalidExecution("message received twice");
+          break;
       }
-      received[i] = true;
-      out.push_back(PairedMessage{e.msg, s.from, v.pid, s.when, e.when});
     }
   }
   if (stats != nullptr) {
     stats->paired = out.size();
-    stats->unreceived_sends = sends.size() - out.size();
+    stats->unreceived_sends = index.sends() - out.size();
   }
   return out;
+}
+
+PrefixPairer::PrefixPairer(std::span<const View> views)
+    : views_(views),
+      index_(count_events(views).sends),
+      read_(views.size(), 0) {}
+
+std::span<const PairedMessage> PrefixPairer::advance(ClockTime cutoff) {
+  fresh_.clear();
+  // The events each view's cut gains; kStart events are in every prefix
+  // and pair with nothing.
+  std::vector<std::size_t> from(read_);
+  for (std::size_t p = 0; p < views_.size(); ++p) {
+    const std::vector<ViewEvent>& events = views_[p].events;
+    std::size_t& i = read_[p];
+    for (; i < events.size(); ++i) {
+      const ViewEvent& e = events[i];
+      if (e.kind != EventKind::kStart && !(e.when < cutoff)) break;
+      if (e.kind == EventKind::kSend) index_.add_send(views_[p].pid, e);
+    }
+  }
+
+  scratch_.clear();
+  auto look_up = [&](const Waiting& w) {
+    PairedMessage m;
+    switch (index_.receive(views_[w.view].pid, *w.event, m)) {
+      case SendIndex::Match::kPaired:
+        fresh_.push_back(std::move(m));
+        break;
+      case SendIndex::Match::kOrphan:
+        scratch_.push_back(w);
+        break;
+      case SendIndex::Match::kDuplicate:
+        ++duplicates_;
+        break;
+    }
+  };
+  std::size_t w = 0;
+  for (std::size_t p = 0; p < views_.size(); ++p) {
+    for (; w < waiting_.size() && waiting_[w].view == p; ++w)
+      look_up(waiting_[w]);
+    const std::vector<ViewEvent>& events = views_[p].events;
+    for (std::size_t i = from[p]; i < read_[p]; ++i)
+      if (events[i].kind == EventKind::kReceive) {
+        ++receives_;
+        look_up(Waiting{p, &events[i]});
+      }
+  }
+  waiting_.swap(scratch_);
+  paired_ += fresh_.size();
+  return fresh_;
+}
+
+PairingStats PrefixPairer::stats() const {
+  PairingStats s;
+  s.paired = paired_;
+  s.orphan_receives = receives_ - paired_ - duplicates_;
+  s.duplicate_receives = duplicates_;
+  s.unreceived_sends = index_.sends() - paired_;
+  return s;
 }
 
 std::vector<TracedMessage> trace_messages(const Execution& exec) {

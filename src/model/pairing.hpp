@@ -8,9 +8,11 @@
 // simulator, admissibility checks, and evaluation.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "model/execution.hpp"
 #include "model/view.hpp"
 
@@ -78,6 +80,111 @@ struct PairingStats {
 std::vector<PairedMessage> pair_messages(
     std::span<const View> views, MatchPolicy policy = MatchPolicy::kStrict,
     PairingStats* stats = nullptr);
+
+/// The rules every pairing applies, over sends indexed by message id
+/// (common/flat_index.hpp): pair_messages and PrefixPairer are its users.
+class SendIndex {
+ public:
+  /// What one receive found.
+  enum class Match { kPaired, kOrphan, kDuplicate };
+
+  /// Room for `capacity` sends.
+  explicit SendIndex(std::size_t capacity);
+
+  // add_send and receive run once per event in both pairing loops and are
+  // forced inline: at -O2 GCC otherwise calls them out of line, and
+  // pair_messages measured 10–40% slower that way.
+
+  /// Indexes a send event of view `pid`.  An id already indexed throws
+  /// InvalidExecution("duplicate message id among sends").
+  [[gnu::always_inline]] void add_send(ProcessorId pid,
+                                       const ViewEvent& send) {
+    if (index_.insert(send.msg, static_cast<std::uint32_t>(sends_.size())) !=
+        FlatIndex::kAbsent)
+      fail("duplicate message id among sends");
+    sends_.push_back(Send{pid, send.peer, send.when});
+  }
+
+  /// Looks up the send of a receive event of view `pid`.  kOrphan when no
+  /// indexed send has its id.  Throws InvalidExecution("message endpoints
+  /// disagree between views") when the send names another receiver or the
+  /// receive another sender.  kDuplicate when an earlier receive paired
+  /// with that send: events are in per-processor time order and both
+  /// receives live in the receiver's view, so the first one met is the
+  /// earliest copy, the one kept.  Otherwise marks the send received,
+  /// writes the pair to `out` and returns kPaired.
+  [[gnu::always_inline]] Match receive(ProcessorId pid,
+                                       const ViewEvent& receive,
+                                       PairedMessage& out) {
+    const std::uint32_t i = index_.find(receive.msg);
+    if (i == FlatIndex::kAbsent) return Match::kOrphan;
+    const Send& s = sends_[i];
+    if (s.to != pid || s.from != receive.peer)
+      fail("message endpoints disagree between views");
+    if (received_[i]) return Match::kDuplicate;
+    received_[i] = true;
+    out = PairedMessage{receive.msg, s.from, pid, s.when, receive.when};
+    return Match::kPaired;
+  }
+
+  std::size_t sends() const { return sends_.size(); }
+
+ private:
+  struct Send {
+    ProcessorId from;
+    ProcessorId to;
+    ClockTime when;
+  };
+
+  /// Throws InvalidExecution(what), out of line: the throw stays out of
+  /// the inlined loops.
+  [[noreturn]] static void fail(const char* what);
+
+  FlatIndex index_;
+  std::vector<Send> sends_;
+  std::vector<bool> received_;  // by send slot, sized to capacity
+};
+
+/// Pairing of growing prefixes of the same views, reading each event once.
+/// advance(c) extends every view's cut to its events before clock time c
+/// (View::prefix(c)) and pairs only what the extension adds: its sends are
+/// indexed first, then each view's receives still waiting for their send
+/// and its new receives are looked up, view by view in event order.  A
+/// receive whose send is not yet in the cut waits for a later advance.
+/// The result at every cutoff is pair_messages(prefixes, kDropOrphans)'s:
+/// the same pairs, the same stats(), and the same InvalidExecution at the
+/// same cutoff.  Every view must be in clock order (View::in_clock_order),
+/// for then a prefix is a leading run of its events.  After a throw the
+/// pairer is spent.
+class PrefixPairer {
+ public:
+  /// `views` must outlive the pairer.
+  explicit PrefixPairer(std::span<const View> views);
+
+  /// Moves the cut to `cutoff` (not below the last one) and returns the
+  /// messages it pairs that the previous cut did not, in pairing order.
+  /// The span lives until the next call.
+  std::span<const PairedMessage> advance(ClockTime cutoff);
+
+  /// Tallies of the current cut, as pair_messages gives them.
+  PairingStats stats() const;
+
+ private:
+  struct Waiting {
+    std::size_t view;
+    const ViewEvent* event;
+  };
+
+  std::span<const View> views_;
+  SendIndex index_;
+  std::vector<std::size_t> read_;  // per view: events already in the cut
+  std::vector<Waiting> waiting_;   // orphan receives of the cut, by view
+  std::vector<Waiting> scratch_;
+  std::vector<PairedMessage> fresh_;
+  std::size_t receives_{0};
+  std::size_t paired_{0};
+  std::size_t duplicates_{0};
+};
 
 /// As above, with ground-truth real times attached from the histories.
 std::vector<TracedMessage> trace_messages(const Execution& exec);

@@ -37,4 +37,14 @@ View View::window(ClockTime from, ClockTime until) const {
   return out;
 }
 
+bool View::in_clock_order() const {
+  const ViewEvent* last = nullptr;
+  for (const ViewEvent& e : events) {
+    if (e.kind == EventKind::kStart) continue;
+    if (last != nullptr && !(last->when <= e.when)) return false;
+    last = &e;
+  }
+  return true;
+}
+
 }  // namespace cs

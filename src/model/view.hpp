@@ -38,6 +38,11 @@ struct View {
   /// window then genuinely lose their observations, which is what the
   /// degraded-mode machinery (core/degraded.hpp) compensates for.
   View window(ClockTime from, ClockTime until) const;
+
+  /// True when the clock times of the events other than kStart never
+  /// decrease (a NaN time fails): prefix(c) is then a leading run of the
+  /// events, which is what model/pairing.hpp's PrefixPairer reads.
+  bool in_clock_order() const;
 };
 
 }  // namespace cs

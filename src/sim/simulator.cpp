@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -30,11 +29,8 @@ class SimulatorImpl {
 
     const Rng master(options.seed);
     link_rngs_.reserve(samplers_.size());
-    for (std::size_t i = 0; i < samplers_.size(); ++i) {
+    for (std::size_t i = 0; i < samplers_.size(); ++i)
       link_rngs_.push_back(master.split(i));
-      const auto [a, b] = model.topology().links[i];
-      link_index_[pair_key(a, b)] = i;
-    }
 
     if (!options.clock_rates.empty()) {
       if (options.clock_rates.size() != n)
@@ -172,11 +168,6 @@ class SimulatorImpl {
     ProcessorId pid_;
   };
 
-  static std::uint64_t pair_key(ProcessorId a, ProcessorId b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-
   /// The stamp a history event records: the true clock time, or whatever
   /// the tamper (a Byzantine behavior model) reports instead.
   ClockTime stamped(ProcessorId pid, EventKind kind, ClockTime truth,
@@ -246,8 +237,8 @@ class SimulatorImpl {
 
   void do_send(ProcessorId from, ProcessorId to, Payload payload) {
     Proc& sender = procs_[from];
-    const auto it = link_index_.find(pair_key(from, to));
-    if (it == link_index_.end())
+    const std::size_t dir = model_.direction(from, to);
+    if (dir == SystemModel::kNoDirection)
       throw Error("automaton sent to a non-adjacent processor");
 
     Message msg;
@@ -265,7 +256,7 @@ class SimulatorImpl {
     if (trace_ != nullptr)
       trace_->record_send(now_, from, to, msg.id, ve.when);
 
-    const std::size_t link = it->second;
+    const std::size_t link = dir / 2;
     const bool a_to_b = from < to;
     double delay = samplers_[link]->sample(a_to_b, now_, link_rngs_[link]);
     if (delay < 0.0) throw Error("sampler produced a negative delay");
@@ -349,7 +340,6 @@ class SimulatorImpl {
 
   std::vector<Proc> procs_;
   std::vector<Rng> link_rngs_;
-  std::unordered_map<std::uint64_t, std::size_t> link_index_;
   std::optional<FaultInjector> injector_;
   EventQueue queue_;
   RealTime now_{};

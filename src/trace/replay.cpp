@@ -1,6 +1,8 @@
 #include "trace/replay.hpp"
 
+#include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/text.hpp"
@@ -102,33 +104,67 @@ void compare_map(Report& out, const std::string& what,
               std::to_string(value));
 }
 
-/// The simulator tallies implied by the event records alone.
-std::map<std::string, std::uint64_t> tallies_of_events(
-    const std::vector<TraceEvent>& events) {
-  std::map<std::string, std::uint64_t> t{
-      {"delivered", 0},      {"lost", 0},          {"fired_timers", 0},
-      {"fault_dropped", 0},  {"duplicated", 0},    {"crash_dropped", 0},
-      {"suppressed_timers", 0}};
+/// How many event records of each kind a trace holds, losses by cause.
+struct EventCounts {
+  std::uint64_t delivered{0};
+  std::uint64_t fired_timers{0};
+  std::uint64_t duplicated{0};
+  std::uint64_t crash_dropped{0};
+  std::uint64_t suppressed_timers{0};
+  std::uint64_t spikes{0};
+  std::uint64_t sampler_losses{0};
+  std::uint64_t fault_drops{0};
+  std::uint64_t link_down_drops{0};
+};
+
+EventCounts count_events(const std::vector<TraceEvent>& events) {
+  EventCounts c;
   for (const TraceEvent& ev : events) {
     switch (ev.kind) {
-      case TraceEvent::Kind::kDeliver: ++t["delivered"]; break;
-      case TraceEvent::Kind::kTimerFire: ++t["fired_timers"]; break;
-      case TraceEvent::Kind::kDuplicate: ++t["duplicated"]; break;
-      case TraceEvent::Kind::kCrashDrop: ++t["crash_dropped"]; break;
-      case TraceEvent::Kind::kTimerSuppressed: ++t["suppressed_timers"]; break;
+      case TraceEvent::Kind::kDeliver: ++c.delivered; break;
+      case TraceEvent::Kind::kTimerFire: ++c.fired_timers; break;
+      case TraceEvent::Kind::kDuplicate: ++c.duplicated; break;
+      case TraceEvent::Kind::kCrashDrop: ++c.crash_dropped; break;
+      case TraceEvent::Kind::kTimerSuppressed: ++c.suppressed_timers; break;
+      case TraceEvent::Kind::kSpike: ++c.spikes; break;
       case TraceEvent::Kind::kLoss:
-        if (ev.cause == LossCause::kSampler)
-          ++t["lost"];
-        else
-          ++t["fault_dropped"];
+        switch (ev.cause) {
+          case LossCause::kSampler: ++c.sampler_losses; break;
+          case LossCause::kFaultDrop: ++c.fault_drops; break;
+          case LossCause::kLinkDown: ++c.link_down_drops; break;
+        }
         break;
       case TraceEvent::Kind::kSend:
-      case TraceEvent::Kind::kSpike:
       case TraceEvent::Kind::kTimerSet:
         break;
     }
   }
-  return t;
+  return c;
+}
+
+/// The simulator tallies implied by the event records alone.
+std::map<std::string, std::uint64_t> tallies_of_events(const EventCounts& c) {
+  return {{"delivered", c.delivered},
+          {"lost", c.sampler_losses},
+          {"fired_timers", c.fired_timers},
+          {"fault_dropped", c.fault_drops + c.link_down_drops},
+          {"duplicated", c.duplicated},
+          {"crash_dropped", c.crash_dropped},
+          {"suppressed_timers", c.suppressed_timers}};
+}
+
+/// The "fault.*" counters the injector and simulator would have counted
+/// for these records; a zero count adds no key, as there.
+void publish_fault_counters(Metrics& metrics, const EventCounts& c) {
+  const std::pair<const char*, std::uint64_t> counters[] = {
+      {"fault.dropped", c.fault_drops},
+      {"fault.link_down_drops", c.link_down_drops},
+      {"fault.delay_spikes", c.spikes},
+      {"fault.duplicated", c.duplicated},
+      {"fault.crash_dropped_deliveries", c.crash_dropped},
+      {"fault.suppressed_timers", c.suppressed_timers}};
+  for (const auto& [name, count] : counters)
+    if (count != 0) metrics.increment(name, count);
 }
 
 }  // namespace
@@ -203,32 +239,10 @@ ReplayResult replay(const Trace& trace) {
     result.views = views_from_trace(trace);
   }
 
-  // The "fault.*" counters are a pure function of the event records — tally
-  // them exactly as the injector/simulator would have.
-  for (const TraceEvent& ev : trace.events) {
-    switch (ev.kind) {
-      case TraceEvent::Kind::kLoss:
-        if (ev.cause == LossCause::kFaultDrop)
-          result.metrics.increment("fault.dropped");
-        else if (ev.cause == LossCause::kLinkDown)
-          result.metrics.increment("fault.link_down_drops");
-        break;
-      case TraceEvent::Kind::kSpike:
-        result.metrics.increment("fault.delay_spikes");
-        break;
-      case TraceEvent::Kind::kDuplicate:
-        result.metrics.increment("fault.duplicated");
-        break;
-      case TraceEvent::Kind::kCrashDrop:
-        result.metrics.increment("fault.crash_dropped_deliveries");
-        break;
-      case TraceEvent::Kind::kTimerSuppressed:
-        result.metrics.increment("fault.suppressed_timers");
-        break;
-      default:
-        break;
-    }
-  }
+  // The "fault.*" counters and the tallies are a pure function of the
+  // event records.
+  const EventCounts counts = count_events(trace.events);
+  publish_fault_counters(result.metrics, counts);
 
   EpochOptions options = trace.plan.options;
   options.sync.metrics = &result.metrics;
@@ -249,8 +263,7 @@ ReplayResult replay(const Trace& trace) {
     compare_map(report, "counter", trace.counters,
                 result.metrics.counters());
   if (!trace.tallies.empty())
-    compare_map(report, "tally", trace.tallies,
-                tallies_of_events(trace.events));
+    compare_map(report, "tally", trace.tallies, tallies_of_events(counts));
   result.divergences = report.take();
   return result;
 }
@@ -340,7 +353,7 @@ Trace rerecorded(const Trace& trace, const ReplayResult& result) {
   for (const EpochOutcome& epoch : result.epochs)
     out.recorded.push_back(epoch_record(epoch));
   out.counters = result.metrics.counters();
-  out.tallies = tallies_of_events(trace.events);
+  out.tallies = tallies_of_events(count_events(trace.events));
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -12,6 +13,22 @@ namespace cs {
 namespace {
 
 constexpr const char* kHeader = "chronosync-trace v1";
+// Event records are most of a trace, and recorded event lines average 55 to
+// 58 bytes (the four test goldens and the benchmark's trace-replay input).
+// Reserving one event per kEventLineBytes of the input spares the event
+// array its growth copies, at the cost of some unused capacity (about a
+// fifth on those inputs).
+constexpr std::size_t kEventLineBytes = 48;
+
+/// The bytes from the read position of `buf` to its end, or 0 when it
+/// cannot seek (a pipe, say).  The read position is left where it was.
+std::size_t bytes_left(std::streambuf& buf) {
+  const std::streampos here = buf.pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return 0;
+  const std::streampos end = buf.pubseekoff(0, std::ios::end, std::ios::in);
+  buf.pubseekpos(here, std::ios::in);
+  return end > here ? static_cast<std::size_t>(end - here) : 0;
+}
 
 const char* loss_cause_name(LossCause c) {
   switch (c) {
@@ -22,11 +39,12 @@ const char* loss_cause_name(LossCause c) {
   return "?";
 }
 
-LossCause parse_loss_cause(const text::LineReader& r, std::string_view tok) {
+/// The loss cause named `tok`, or nullopt.
+std::optional<LossCause> loss_cause_of(std::string_view tok) {
   if (tok == "sampler") return LossCause::kSampler;
   if (tok == "drop") return LossCause::kFaultDrop;
   if (tok == "down") return LossCause::kLinkDown;
-  r.fail("unknown loss cause '" + std::string(tok) + "'");
+  return std::nullopt;
 }
 
 const char* match_name(MatchPolicy m) {
@@ -164,6 +182,103 @@ void save_trace(std::ostream& os, const Trace& trace) {
 
 namespace {
 
+/// One event tag's fields after the real time, in line order: the one
+/// field list of the event record.  `In` reads each field into its place;
+/// false for an unknown tag or at the first field `in` refuses.
+template <class In>
+bool event_fields(In& in, char tag, TraceEvent& ev) {
+  switch (tag) {
+    case 'D':
+    case 'R':
+      return in.id(ev.a) && in.id(ev.b) && in.u64(ev.msg) &&
+             in.number(ev.clock.sec);
+    case 'L':
+      return in.id(ev.a) && in.id(ev.b) && in.u64(ev.msg) &&
+             in.cause(ev.cause);
+    case 'X':
+      return in.id(ev.a) && in.id(ev.b) && in.u64(ev.msg);
+    case 'U':
+    case 'K':
+      return in.id(ev.a) && in.id(ev.b) && in.u64(ev.msg) &&
+             in.number(ev.extra);
+    case 'T':
+    case 'F':
+      return in.id(ev.a) && in.number(ev.clock.sec) &&
+             in.number(ev.timer_at.sec);
+    case 'Z':
+      return in.id(ev.a) && in.number(ev.timer_at.sec);
+  }
+  return false;
+}
+
+/// Reads the fields in place off the line; refuses quietly.
+struct InPlaceFields {
+  text::Fields f;
+  bool id(std::uint32_t& v) { return f.id(v); }
+  bool u64(std::uint64_t& v) { return f.u64(v); }
+  bool number(double& v) { return f.number(v); }
+  bool cause(LossCause& c) {
+    const std::optional<LossCause> got = loss_cause_of(f.word());
+    if (got) c = *got;
+    return got.has_value();
+  }
+};
+
+/// Reads the tokens from r[3] on through LineReader's checks, which throw
+/// the error text.
+struct CheckedFields {
+  const text::LineReader& r;
+  std::size_t i = 3;
+  bool id(std::uint32_t& v) {
+    v = r.id(r[i++]);
+    return true;
+  }
+  bool u64(std::uint64_t& v) {
+    v = r.u64(r[i++]);
+    return true;
+  }
+  bool number(double& v) {
+    v = r.number(r[i++]);
+    return true;
+  }
+  bool cause(LossCause& c) {
+    const std::string_view tok = r[i++];
+    const std::optional<LossCause> got = loss_cause_of(tok);
+    if (!got) r.fail("unknown loss cause '" + std::string(tok) + "'");
+    c = *got;
+    return true;
+  }
+};
+
+/// Counts a tag's fields and reads none.
+struct FieldCount {
+  std::size_t n = 0;
+  bool id(std::uint32_t&) { return take(); }
+  bool u64(std::uint64_t&) { return take(); }
+  bool number(double&) { return take(); }
+  bool cause(LossCause&) { return take(); }
+  bool take() {
+    ++n;
+    return true;
+  }
+};
+
+/// The in-place read of an event line, straight off the line with no token
+/// vector.  Accepts exactly what parse_event accepts, with the same values;
+/// false on anything else, which parse_event then reads for its error.
+bool read_event(std::string_view line, TraceEvent& ev) {
+  InPlaceFields in{text::Fields(line)};
+  if (in.f.word() != "event") return false;
+  const std::string_view tag = in.f.word();
+  if (tag.size() != 1 || !in.number(ev.real.sec) ||
+      !event_fields(in, tag[0], ev))
+    return false;
+  ev.kind = static_cast<TraceEvent::Kind>(tag[0]);
+  return in.f.done();
+}
+
+/// The checked read of a split event line: the field count first, then the
+/// fields left to right, each failure thrown with its own text.
 TraceEvent parse_event(const text::LineReader& r) {
   // r[0] == "event"; r[1] is the tag, r[2] the real time.
   if (r.size() < 3) r.fail("truncated event record");
@@ -172,63 +287,15 @@ TraceEvent parse_event(const text::LineReader& r) {
   TraceEvent ev;
   ev.real = RealTime{r.number(r[2])};
   const char tag = r[1][0];
-  auto need = [&](std::size_t n) {
-    if (r.size() != n)
-      r.fail(std::string("wrong field count for event '") + tag + "' (got " +
-             std::to_string(r.size() - 1) + " fields)");
-  };
-  auto pid = [&](std::size_t i) { return r.id(r[i]); };
-  switch (tag) {
-    case 'D':
-    case 'R':
-      need(7);
-      ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = pid(3);
-      ev.b = pid(4);
-      ev.msg = r.u64(r[5]);
-      ev.clock = ClockTime{r.number(r[6])};
-      break;
-    case 'L':
-      need(7);
-      ev.kind = TraceEvent::Kind::kLoss;
-      ev.a = pid(3);
-      ev.b = pid(4);
-      ev.msg = r.u64(r[5]);
-      ev.cause = parse_loss_cause(r, r[6]);
-      break;
-    case 'X':
-      need(6);
-      ev.kind = TraceEvent::Kind::kCrashDrop;
-      ev.a = pid(3);
-      ev.b = pid(4);
-      ev.msg = r.u64(r[5]);
-      break;
-    case 'U':
-    case 'K':
-      need(7);
-      ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = pid(3);
-      ev.b = pid(4);
-      ev.msg = r.u64(r[5]);
-      ev.extra = r.number(r[6]);
-      break;
-    case 'T':
-    case 'F':
-      need(6);
-      ev.kind = static_cast<TraceEvent::Kind>(tag);
-      ev.a = pid(3);
-      ev.clock = ClockTime{r.number(r[4])};
-      ev.timer_at = ClockTime{r.number(r[5])};
-      break;
-    case 'Z':
-      need(5);
-      ev.kind = TraceEvent::Kind::kTimerSuppressed;
-      ev.a = pid(3);
-      ev.timer_at = ClockTime{r.number(r[4])};
-      break;
-    default:
-      r.fail("unknown event tag '" + std::string(r[1]) + "'");
-  }
+  FieldCount count;
+  if (!event_fields(count, tag, ev))
+    r.fail("unknown event tag '" + std::string(r[1]) + "'");
+  if (r.size() != 3 + count.n)
+    r.fail(std::string("wrong field count for event '") + tag + "' (got " +
+           std::to_string(r.size() - 1) + " fields)");
+  CheckedFields in{r};
+  event_fields(in, tag, ev);
+  ev.kind = static_cast<TraceEvent::Kind>(tag);
   return ev;
 }
 
@@ -285,11 +352,18 @@ Trace load_trace(std::istream& is) {
            r.line() + "'");
 
   Trace trace;
+  trace.events.reserve(bytes_left(*is.rdbuf()) / kEventLineBytes);
   bool saw_processors = false;
   bool saw_end = false;
   std::size_t next_outcome = 0;
 
-  while (r.next()) {
+  while (r.next_unsplit()) {
+    TraceEvent event;
+    if (read_event(r.line(), event)) {
+      trace.events.push_back(event);
+      continue;
+    }
+    r.split();
     const std::string_view key = r[0];
     auto need = [&](std::size_t n) {
       if (r.size() != n)
@@ -297,6 +371,7 @@ Trace load_trace(std::istream& is) {
                r.line() + "'");
     };
     if (key == "event") {
+      // Refused in place: the checked read names what is wrong.
       trace.events.push_back(parse_event(r));
     } else if (key == "processors") {
       need(2);

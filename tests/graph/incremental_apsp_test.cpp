@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "graph/johnson.hpp"
+#include "oracles/delta_apsp.hpp"
 
 namespace cs {
 namespace {
@@ -325,6 +329,84 @@ TEST(IncrementalApspProperty, RandomPerturbationSequencesMatchJohnson) {
       expect_matrices_match(inc.distances(), *oracle, 1e-11);
     }
   }
+}
+
+/// Single-edge decreases through update(), each checked against the
+/// branchy loop on the previous matrix: the branch-free rows must leave
+/// every entry bit for bit as it does, +inf included.  Weights under random
+/// potentials are negative in places without a negative cycle, and sparse
+/// graphs leave pairs unreachable.  Even seeds draw every weight on a
+/// 1/64 grid, where all path sums are exact, so a decrease can close a
+/// zero-weight cycle without rounding making it negative; odd seeds draw
+/// plain doubles and keep every cycle through the lowered edge above 1e-3.
+TEST(IncrementalApsp, BranchFreeRowsMatchTheBranchyLoop) {
+  std::size_t zero_cycles = 0, negative = 0, unreachable = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(5000 + seed);
+    const bool exact = seed % 2 == 0;
+    auto draw = [&](double lo, double hi) {
+      const double x = rng.uniform(lo, hi);
+      return exact ? std::round(64.0 * x) / 64.0 : x;
+    };
+    const std::size_t n = 3 + rng.uniform_int(31);  // odd and even rows
+    std::vector<double> h(n);
+    for (double& x : h) x = draw(-1.0, 1.0);
+    std::map<std::pair<NodeId, NodeId>, double> weights;
+    for (std::size_t e = rng.uniform_int(3 * n); e > 0; --e) {
+      const NodeId a = static_cast<NodeId>(rng.uniform_int(n));
+      const NodeId b = static_cast<NodeId>(rng.uniform_int(n));
+      if (a != b) weights[{a, b}] = draw(0.02, 1.0) + h[a] - h[b];
+    }
+    auto build = [&] {
+      Digraph g(n);
+      for (const auto& [key, w] : weights) g.add_edge(key.first, key.second, w);
+      return g;
+    };
+
+    IncrementalApsp inc;
+    ASSERT_TRUE(inc.update(build()));
+    DistanceMatrix ref = inc.distances();
+    for (int step = 0; step < 24; ++step) {
+      const NodeId a = static_cast<NodeId>(rng.uniform_int(n));
+      const NodeId b = static_cast<NodeId>(rng.uniform_int(n));
+      if (a == b) continue;
+      const auto it = weights.find({a, b});
+      const double old_w = it == weights.end() ? kInfDist : it->second;
+      const double back = ref.at(b, a);
+      double w = old_w == kInfDist ? draw(-1.0, 1.0)
+                                   : old_w - draw(0.0, 0.5);
+      bool closes_zero_cycle = false;
+      if (back != kInfDist && exact) {
+        closes_zero_cycle = w + back < 0.0 || rng.uniform_int(4) == 0;
+        if (closes_zero_cycle) w = -back;
+      } else if (back != kInfDist && w + back < 1e-3) {
+        w = 1e-3 - back;
+      }
+      if (!(w < old_w)) continue;
+      zero_cycles += closes_zero_cycle;
+      weights[{a, b}] = w;
+
+      reference_lower_edge(ref, a, b, w);
+      ASSERT_TRUE(inc.update(build()));
+      ASSERT_EQ(inc.last_step().path,
+                IncrementalApsp::StepStats::Path::kIncremental);
+      ASSERT_EQ(inc.last_step().decreased_edges, 1u);
+      ASSERT_EQ(inc.last_step().increased_edges, 0u);
+      const DistanceMatrix& got = inc.distances();
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.at(i, j)),
+                    std::bit_cast<std::uint64_t>(ref.at(i, j)))
+              << "seed " << seed << " step " << step << " (" << i << ","
+              << j << ")";
+          negative += ref.at(i, j) < 0.0;
+          unreachable += ref.at(i, j) == kInfDist;
+        }
+    }
+  }
+  EXPECT_GT(zero_cycles, 0u);
+  EXPECT_GT(negative, 0u);
+  EXPECT_GT(unreachable, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -178,6 +179,148 @@ TEST(TraceText, IdsPast32BitsRefusedInEveryReader) {
       }
     });
     EXPECT_EQ(err, c.error);
+  }
+}
+
+TEST(TraceText, EventLinesPinnedPerTag) {
+  // Every event tag, its fields separated by tabs and double spaces: the
+  // values it loads, and the error of a bad number, a 2^32 id, a '+'-signed
+  // field and a wrong field count, each on line 8.
+  using Kind = TraceEvent::Kind;
+  struct Case {
+    char tag;
+    std::string line;  ///< a well-formed record
+    TraceEvent want;
+    std::vector<std::pair<std::string, std::string>> errors;  ///< line, what
+  };
+  auto ev = [](Kind kind, double real) {
+    TraceEvent e;
+    e.kind = kind;
+    e.real = RealTime{real};
+    return e;
+  };
+  auto with = [](TraceEvent e, auto&& set) {
+    set(e);
+    return e;
+  };
+  const Case cases[] = {
+      {'D', "event\tD  0.5\t0  1\t\t7  0.25",
+       with(ev(Kind::kSend, 0.5),
+            [](TraceEvent& e) { e.a = 0, e.b = 1, e.msg = 7, e.clock.sec = 0.25; }),
+       {{"event\tD  0.5\t0  1\t7  1e999", "bad number '1e999'"},
+        {"event\tD  0.5\t4294967296  1\t7  0.25",
+         "bad processor id '4294967296'"},
+        {"event\tD  0.5\t0  1\t+7  0.25", "bad unsigned integer '+7'"},
+        {"event\tD  0.5\t0  1\t7", "wrong field count for event 'D' (got 5 fields)"}}},
+      {'R', "event  R\t1.25  1\t0  7\t-0.125",
+       with(ev(Kind::kDeliver, 1.25),
+            [](TraceEvent& e) { e.a = 1, e.b = 0, e.msg = 7, e.clock.sec = -0.125; }),
+       {{"event  R\t1.25  1\t0  7\t0x1p3", "bad number '0x1p3'"},
+        {"event  R\t1.25  1\t4294967296  7\t-0.125",
+         "bad processor id '4294967296'"},
+        {"event  R\t+1.25  1\t0  7\t-0.125", "bad number '+1.25'"},
+        {"event  R\t1.25  1\t0  7\t-0.125  9",
+         "wrong field count for event 'R' (got 7 fields)"}}},
+      {'L', "event\t\tL  2\t0  1  18446744073709551615\tdown",
+       with(ev(Kind::kLoss, 2.0),
+            [](TraceEvent& e) {
+              e.a = 0, e.b = 1, e.msg = 18446744073709551615u,
+              e.cause = LossCause::kLinkDown;
+            }),
+       {{"event\t\tL  2.5.1\t0  1  3\tdown", "bad number '2.5.1'"},
+        {"event\t\tL  2\t4294967296  1  3\tdown",
+         "bad processor id '4294967296'"},
+        {"event\t\tL  2\t0  1  18446744073709551616\tdown",
+         "bad unsigned integer '18446744073709551616'"},
+        {"event\t\tL  2\t0  1  +3\tdrop", "bad unsigned integer '+3'"},
+        {"event\t\tL  2\t0  1  3", "wrong field count for event 'L' (got 5 fields)"}}},
+      {'X', "event  X  inf\t1\t0\t12",
+       with(ev(Kind::kCrashDrop, std::numeric_limits<double>::infinity()),
+            [](TraceEvent& e) { e.a = 1, e.b = 0, e.msg = 12; }),
+       {{"event  X  nan\t1\t0\t12", "bad number 'nan'"},
+        {"event  X  3\t1\t4294967296\t12", "bad processor id '4294967296'"},
+        {"event  X  3\t+1\t0\t12", "bad processor id '+1'"},
+        {"event  X  3\t1\t0\t12\t0", "wrong field count for event 'X' (got 6 fields)"}}},
+      {'U', "event U\t0.75  1  0\t4  0.0625",
+       with(ev(Kind::kDuplicate, 0.75),
+            [](TraceEvent& e) { e.a = 1, e.b = 0, e.msg = 4, e.extra = 0.0625; }),
+       {{"event U\t0.75  1  0\t4  1e-400", "bad number '1e-400'"},
+        {"event U\t0.75  4294967296  0\t4  0.0625",
+         "bad processor id '4294967296'"},
+        {"event U\t0.75  1  0\t4  +0.0625", "bad number '+0.0625'"},
+        {"event U\t0.75  1  0  0.0625", "wrong field count for event 'U' (got 5 fields)"}}},
+      {'K', "event\tK  1e-3\t0\t1  5  4.9406564584124654e-324",
+       with(ev(Kind::kSpike, 1e-3),
+            [](TraceEvent& e) {
+              e.a = 0, e.b = 1, e.msg = 5,
+              e.extra = std::numeric_limits<double>::denorm_min();
+            }),
+       {{"event\tK  1e-3\t0\t1  5  -nan", "bad number '-nan'"},
+        {"event\tK  1e-3\t0\t4294967296  5  0.5",
+         "bad processor id '4294967296'"},
+        {"event\tK  1e-3\t0\t1  +5  0.5", "bad unsigned integer '+5'"},
+        {"event\tK  1e-3", "wrong field count for event 'K' (got 2 fields)"}}},
+      {'T', "event  T\t0.5\t1  0.3\t\t0.8",
+       with(ev(Kind::kTimerSet, 0.5),
+            [](TraceEvent& e) { e.a = 1, e.clock.sec = 0.3, e.timer_at.sec = 0.8; }),
+       {{"event  T\t0.5\t1  0.3\t\t0.8e", "bad number '0.8e'"},
+        {"event  T\t0.5\t4294967296  0.3\t\t0.8",
+         "bad processor id '4294967296'"},
+        {"event  T\t0.5\t1  +0.3\t\t0.8", "bad number '+0.3'"},
+        {"event  T\t0.5\t1  0.3", "wrong field count for event 'T' (got 4 fields)"}}},
+      {'F', "event\tF  0.875  0\t0.8  0.8",
+       with(ev(Kind::kTimerFire, 0.875),
+            [](TraceEvent& e) { e.a = 0, e.clock.sec = 0.8, e.timer_at.sec = 0.8; }),
+       {{"event\tF  0.875  0\t0.8  .8.", "bad number '.8.'"},
+        {"event\tF  0.875  4294967296\t0.8  0.8",
+         "bad processor id '4294967296'"},
+        {"event\tF  0.875  +0\t0.8  0.8", "bad processor id '+0'"},
+        {"event\tF  0.875  0\t0.8  0.8  0.8",
+         "wrong field count for event 'F' (got 6 fields)"}}},
+      {'Z', "event  Z\t\t3  1\t-inf",
+       with(ev(Kind::kTimerSuppressed, 3.0),
+            [](TraceEvent& e) {
+              e.a = 1, e.timer_at.sec = -std::numeric_limits<double>::infinity();
+            }),
+       {{"event  Z\t\t3  1\tinfx", "bad number 'infx'"},
+        {"event  Z\t\t3  4294967296\t1", "bad processor id '4294967296'"},
+        {"event  Z\t\t3  1\t+1", "bad number '+1'"},
+        {"event  Z\t\t3  1", "wrong field count for event 'Z' (got 3 fields)"}}},
+  };
+  auto doc = [](const std::string& line) {
+    return "chronosync-trace v1\nprocessors 2\nseed 0\nbegin model\n"
+           "chronosync-model v1\nprocessors 2\nend model\n" +
+           line + "\nend trace\n";
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string("tag ") + c.tag);
+    Trace trace;
+    const auto err = error_of([&] {
+      std::istringstream is(doc(c.line));
+      trace = load_trace(is);
+    });
+    ASSERT_FALSE(err) << *err;
+    ASSERT_EQ(trace.events.size(), 1u);
+    const TraceEvent& got = trace.events[0];
+    EXPECT_EQ(got.kind, c.want.kind);
+    EXPECT_EQ(bits(got.real.sec), bits(c.want.real.sec));
+    EXPECT_EQ(got.a, c.want.a);
+    EXPECT_EQ(got.b, c.want.b);
+    EXPECT_EQ(got.msg, c.want.msg);
+    EXPECT_EQ(bits(got.clock.sec), bits(c.want.clock.sec));
+    EXPECT_EQ(bits(got.timer_at.sec), bits(c.want.timer_at.sec));
+    EXPECT_EQ(bits(got.extra), bits(c.want.extra));
+    EXPECT_EQ(got.cause, c.want.cause);
+    EXPECT_TRUE(got == c.want);
+
+    for (const auto& [line, what] : c.errors) {
+      SCOPED_TRACE(line);
+      const auto bad = error_of([&] {
+        std::istringstream is(doc(line));
+        (void)load_trace(is);
+      });
+      EXPECT_EQ(bad, "trace parse error at line 8: " + what);
+    }
   }
 }
 
