@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace cs::byz {
 namespace {
@@ -147,13 +148,14 @@ ByzPlanSpec parse_byz_plan(const std::string& text) {
     return spec;
   }
 
-  const auto num = [](const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == nullptr || *end != '\0' || value.empty())
+  // Numbers read with the trace reader's grammar (docs/TRACE.md §1); ids,
+  // counts and the seed as unsigned decimal integers, never through a cast.
+  const auto need = [](const std::string& key, const std::string& value,
+                       auto parsed) {
+    if (!parsed)
       throw Error("byz plan: " + key + " expects a number, got '" + value +
                   "'");
-    return v;
+    return *parsed;
   };
 
   bool have_count = false, have_mag = false;
@@ -164,28 +166,27 @@ ByzPlanSpec parse_byz_plan(const std::string& text) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     if (key == "f") {
-      spec.f = static_cast<std::size_t>(num(key, value));
+      spec.f = need(key, value, text::parse_u64(value));
       have_count = true;
     } else if (key == "agents") {
       std::istringstream list(value);
       std::string pid;
       while (std::getline(list, pid, ','))
-        spec.agents.push_back(
-            static_cast<ProcessorId>(num("agents", pid)));
+        spec.agents.push_back(need("agents", pid, text::parse_id(pid)));
       if (spec.agents.empty())
         throw Error("byz plan: agents= needs at least one pid");
       have_count = true;
     } else if (key == "mag") {
-      spec.magnitude = num(key, value);
+      spec.magnitude = need(key, value, text::parse_number(value));
       have_mag = true;
     } else if (key == "ramp") {
-      spec.ramp_span = num(key, value);
+      spec.ramp_span = need(key, value, text::parse_number(value));
     } else if (key == "from") {
-      spec.from = num(key, value);
+      spec.from = need(key, value, text::parse_number(value));
     } else if (key == "until") {
-      spec.until = num(key, value);
+      spec.until = need(key, value, text::parse_number(value));
     } else if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(num(key, value));
+      spec.seed = need(key, value, text::parse_u64(value));
     } else {
       throw Error("byz plan: unknown key '" + key + "'");
     }

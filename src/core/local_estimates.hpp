@@ -19,7 +19,7 @@
 //     folded by mls_graph_from_traffic.
 //
 // Callers that need the observations themselves (MAD trimming, the drift
-// OLS, SyncAgent's delta reports) build LinkTraffic directly.
+// OLS) build LinkTraffic directly.
 #pragma once
 
 #include <span>
@@ -56,13 +56,14 @@ Digraph local_shifts_actual(const SystemModel& model, const Execution& exec);
 
 /// Shared kernel: m̃ls (or mls) graph from pre-aggregated per-direction
 /// statistics, read by direction slot in link order.  The extremes path of
-/// ingest_views, the multihost daemon (net/daemon.hpp, whose leader
-/// receives remotely aggregated extremes rather than raw views) and the
-/// drift estimator use it.  `stats` must be laid out for a model of this
-/// topology (InvalidAssumption otherwise).  Note: a windowed-bias
-/// constraint, which is not extreme-sufficient, falls back here to its
-/// conservative stats-only envelope (d̃min) — an extremes report carries no
-/// send times; ingest_views sends such models down the traffic path.
+/// ingest_views, the §7 leaders (SyncAgent and NetDaemon, which receive
+/// remotely aggregated extremes rather than raw views —
+/// delaymodel/extremes.hpp) and the drift estimator use it.  `stats` must
+/// be laid out for a model of this topology (InvalidAssumption otherwise).
+/// Note: a windowed-bias constraint, which is not extreme-sufficient,
+/// falls back here to its conservative stats-only envelope (d̃min);
+/// ingest_views sends such models down the traffic path, and the §7 front
+/// ends refuse them.
 Digraph mls_graph_from_stats(const SystemModel& model,
                              const LinkStats& stats);
 

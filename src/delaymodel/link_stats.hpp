@@ -13,7 +13,7 @@
 // Only topology links have slots.  LinkTraffic, which keeps every
 // observation with its send time, stays a per-direction map: it serves the
 // models and passes that need the full series (windowed bias, MAD
-// trimming, the drift OLS, SyncAgent's delta reports).
+// trimming, the drift OLS).
 #pragma once
 
 #include <cstddef>
@@ -67,7 +67,8 @@ class LinkStats {
   /// Install pre-aggregated extremes for one direction (merging with any
   /// existing entry; non-links skipped as in add()).  Used by the drift
   /// estimator, whose detrended extremes are not expressible as a stream
-  /// of raw add() calls, and by the multihost leader's reports.
+  /// of raw add() calls, and by the §7 leaders' extremes reports
+  /// (delaymodel/extremes.hpp).
   void add_stats(ProcessorId p, ProcessorId q, const DirectedStats& s);
 
   /// Estimated delays d̃(m) from views only (Lemma 6.1) — the pipeline

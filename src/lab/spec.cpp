@@ -17,26 +17,16 @@ namespace {
 
 double parse_num(const std::string& token, std::size_t line_no,
                  const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail_line(line_no, "'" + token + "' is not a valid " + what);
-  }
+  const std::optional<double> v = text::parse_number(token);
+  if (!v) fail_line(line_no, "'" + token + "' is not a valid " + what);
+  return *v;
 }
 
 std::uint64_t parse_u64(const std::string& token, std::size_t line_no,
                         const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    fail_line(line_no, "'" + token + "' is not a valid " + what);
-  }
+  const std::optional<std::uint64_t> v = text::parse_u64(token);
+  if (!v) fail_line(line_no, "'" + token + "' is not a valid " + what);
+  return *v;
 }
 
 }  // namespace
@@ -217,8 +207,10 @@ CampaignSpec load_campaign(std::istream& is) {
       spec.seed = parse_u64(params[0], line_no, "seed");
     } else if (word == "seeds") {
       want(1, "<count>");
-      spec.seeds_per_cell =
-          static_cast<std::uint32_t>(parse_u64(params[0], line_no, "count"));
+      const std::uint64_t seeds = parse_u64(params[0], line_no, "count");
+      if (seeds > std::numeric_limits<std::uint32_t>::max())
+        fail_line(line_no, "'" + params[0] + "' is not a valid count");
+      spec.seeds_per_cell = static_cast<std::uint32_t>(seeds);
     } else if (word == "protocol") {
       if (params.empty()) fail_line(line_no, "protocol needs a kind");
       spec.protocol.kind = params[0];

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 
 namespace cs::lab {
 namespace {
@@ -127,16 +129,9 @@ Topology make_datacenter(std::size_t spines, std::size_t racks,
 namespace {
 
 std::size_t parse_size(const std::string& token, const std::string& what) {
-  std::size_t pos = 0;
-  std::size_t v = 0;
-  try {
-    v = std::stoul(token, &pos);
-  } catch (const std::exception&) {
-    fail("topology spec: '" + token + "' is not a valid " + what);
-  }
-  if (pos != token.size())
-    fail("topology spec: '" + token + "' is not a valid " + what);
-  return v;
+  const std::optional<std::uint64_t> v = text::parse_u64(token);
+  if (!v) fail("topology spec: '" + token + "' is not a valid " + what);
+  return static_cast<std::size_t>(*v);
 }
 
 std::vector<std::size_t> parse_dims(const std::string& token) {
@@ -222,11 +217,10 @@ TopoSpec parse_topo_spec(const std::string& text) {
   } else if (f == "er") {
     want(2, "N P");
     spec.dims = {parse_size(params[0], "node count")};
-    try {
-      spec.p = std::stod(params[1]);
-    } catch (const std::exception&) {
+    const std::optional<double> p = text::parse_number(params[1]);
+    if (!p)
       fail("topology spec: '" + params[1] + "' is not a valid probability");
-    }
+    spec.p = *p;
   } else if (f == "ba") {
     want(2, "N M");
     spec.dims = {parse_size(params[0], "node count"),

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -31,62 +30,13 @@ double realtime_seconds() {
 /// fewer piggyback on the next probe datagram to that peer.
 constexpr std::size_t kEchoFlushBatch = 8;
 
-/// A wire double is a whole number below `bound`, so the cast to an integer
-/// type that holds every such number is exact.  Refuses NaN.
-bool whole_below(double v, double bound) {
-  return v >= 0.0 && v < bound && v == std::floor(v);
-}
-
 }  // namespace
-
-std::vector<double> encode_extremes(
-    const std::vector<DirectionExtremes>& dirs) {
-  std::vector<double> data;
-  data.reserve(1 + 4 * dirs.size());
-  data.push_back(static_cast<double>(dirs.size()));
-  for (const DirectionExtremes& d : dirs) {
-    data.push_back(static_cast<double>(d.peer));
-    data.push_back(d.dmin);
-    data.push_back(d.dmax);
-    data.push_back(static_cast<double>(d.count));
-  }
-  return data;
-}
-
-bool decode_extremes(std::span<const double> data,
-                     std::vector<DirectionExtremes>& out) {
-  out.clear();
-  if (data.empty()) return false;
-  // A count the payload cannot hold is refused before the cast, so
-  // neither it nor 1 + 4·count can wrap.
-  const auto most = static_cast<double>((data.size() - 1) / 4);
-  if (!whole_below(data[0], most + 1.0)) return false;
-  const auto count = static_cast<std::size_t>(data[0]);
-  if (data.size() != 1 + 4 * count) return false;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* f = data.data() + 1 + 4 * i;
-    if (!whole_below(f[0], 0x1p32) || !whole_below(f[3], 0x1p64))
-      return false;
-    out.push_back(DirectionExtremes{static_cast<ProcessorId>(f[0]), f[1],
-                                    f[2], static_cast<std::uint64_t>(f[3])});
-  }
-  return true;
-}
 
 SyncOutcome synchronize_from_extremes(const SystemModel& model,
                                       std::span<const ReportedExtremes> reports,
                                       ProcessorId root) {
   LinkStats stats(model);
-  for (const ReportedExtremes& report : reports)
-    for (const DirectionExtremes& d : report.dirs) {
-      DirectedStats ds;
-      ds.dmin = ExtReal{d.dmin};
-      ds.dmax = ExtReal{d.dmax};
-      ds.count = d.count;
-      // Direction peer -> reporter: the reporter observed these arrivals.
-      stats.add_stats(d.peer, report.agent, ds);
-    }
+  for (const ReportedExtremes& report : reports) add_extremes(stats, report);
   SyncOptions options;
   options.root = root;
   return synchronize_mls(mls_graph_from_stats(model, stats), options);
@@ -97,6 +47,7 @@ NetDaemon::NetDaemon(NetDaemonConfig config)
       base_clock_(config_.base_clock ? config_.base_clock : realtime_seconds),
       recv_buf_(kMaxDatagramBytes) {
   if (config_.model == nullptr) throw Error("NetDaemon: model is required");
+  require_extreme_sufficient(*config_.model, "NetDaemon");
   n_ = config_.model->processor_count();
   if (config_.peers.size() != n_)
     throw Error("NetDaemon: peers.size() != processor_count()");
@@ -316,7 +267,7 @@ void NetDaemon::handle_full(const FullMessage& full) {
   if (full.tag == kTagNetReport && config_.id == config_.leader) {
     ReportedExtremes incoming;
     incoming.agent = full.from;
-    if (!decode_extremes(full.data, incoming.dirs)) {
+    if (!decode_extremes(full.data, n_, &incoming.dirs)) {
       metrics_increment(config_.metrics, "runtime.net.decode_error");
       return;
     }
@@ -377,10 +328,11 @@ void NetDaemon::boundary(double now) {
 }
 
 void NetDaemon::send_report() {
-  const ReportedExtremes& own = report_.collected.front();
+  std::vector<double> data;
+  encode_extremes(report_.collected.front().dirs, data);
   send_frame(config_.leader,
              Frame{FullMessage{next_msg_id_++, config_.id, config_.leader,
-                               kTagNetReport, encode_extremes(own.dirs)}});
+                               kTagNetReport, std::move(data)}});
 }
 
 void NetDaemon::send_corrections(ProcessorId to) {

@@ -16,10 +16,11 @@
 //                Duplicates are deduplicated by (peer, seq); ambiguous
 //                reconstructions (window edge) are dropped and counted.
 //   3. REPORT  — at the boundary `report_at`, send the per-direction
-//                extremes (the Lemma 6.2/6.5 sufficient statistic) to the
-//                leader as a canonical full-width frame: bit-exact doubles,
-//                so the leader's pipeline input equals what an offline
-//                recompute from the same table sees.
+//                extremes (the Lemma 6.2/6.5 sufficient statistic, in the
+//                payload SyncAgent sends too — delaymodel/extremes.hpp) to
+//                the leader as a canonical full-width frame: bit-exact
+//                doubles, so the leader's pipeline input equals what an
+//                offline recompute from the same table sees.
 //   4. COMPUTE — the leader folds all reports into LinkStats, runs
 //                mls_graph_from_stats → synchronize_mls (root = leader),
 //                and floods [precision, x_0 … x_{n-1}] to every agent.
@@ -42,6 +43,7 @@
 #include "common/metrics.hpp"
 #include "common/time.hpp"
 #include "core/synchronizer.hpp"
+#include "delaymodel/extremes.hpp"
 #include "net/address.hpp"
 #include "net/event_loop.hpp"
 #include "net/wire.hpp"
@@ -53,30 +55,6 @@ namespace cs::net {
 inline constexpr std::uint32_t kTagNetReport = 40;
 inline constexpr std::uint32_t kTagNetCorrections = 41;
 inline constexpr std::uint32_t kTagNetAck = 42;
-
-/// Extremes of one incoming direction peer → reporter.
-struct DirectionExtremes {
-  ProcessorId peer{0};
-  double dmin{0.0};
-  double dmax{0.0};
-  std::uint64_t count{0};
-
-  bool operator==(const DirectionExtremes&) const = default;
-};
-
-/// One agent's report: every incoming direction it observed.
-struct ReportedExtremes {
-  ProcessorId agent{0};
-  std::vector<DirectionExtremes> dirs;
-
-  bool operator==(const ReportedExtremes&) const = default;
-};
-
-/// Report payload codec (doubles are exact for the values involved):
-///   [dir_count, (peer, dmin, dmax, count) ...]
-std::vector<double> encode_extremes(const std::vector<DirectionExtremes>& dirs);
-bool decode_extremes(std::span<const double> data,
-                     std::vector<DirectionExtremes>& out);
 
 /// The leader's compute step as a pure function: LinkStats from the
 /// reported extremes → mls_graph_from_stats → synchronize_mls(root).
@@ -94,7 +72,8 @@ struct NetDaemonConfig {
   std::vector<SocketAddress> peers;
   ProcessorId leader{0};
   /// System assumptions (G, A); must outlive the daemon.  Probing follows
-  /// the topology's links; peers.size() must equal processor_count().
+  /// the topology's links; peers.size() must equal processor_count(), and
+  /// every link must be extreme-sufficient (no windowed bias).
   const SystemModel* model{nullptr};
 
   /// Shared clock origin in base_clock units: all daemons of one run use

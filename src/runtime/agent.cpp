@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "core/incremental.hpp"
 #include "core/local_estimates.hpp"
+#include "delaymodel/extremes.hpp"
 #include "runtime/online.hpp"
 
 namespace cs {
@@ -62,20 +63,6 @@ std::vector<ClockTime> sync_agent_boundaries(const SyncAgentParams& params) {
 
 namespace {
 
-/// A control-payload field as an integer in [lo, hi], or nullopt.  Every
-/// integer field of a report or corrections frame is read through here
-/// before it is cast: converting a NaN, negative, fractional or huge double
-/// to an integer is undefined behaviour, and over UDP any local process can
-/// send such a frame.  In [0, 2^53) the cast is defined and a whole double
-/// survives the round trip exactly.
-std::optional<std::size_t> checked_field(double v, std::size_t lo,
-                                         std::size_t hi) {
-  if (!(v >= 0.0 && v < 0x1p53)) return std::nullopt;
-  const auto x = static_cast<std::size_t>(v);
-  if (static_cast<double>(x) != v || x < lo || x > hi) return std::nullopt;
-  return x;
-}
-
 struct ReportHeader {
   ProcessorId origin{0};
   std::size_t epoch{0};  // 1-based
@@ -84,8 +71,6 @@ struct ReportHeader {
     return (static_cast<std::uint64_t>(origin) << 32) | epoch;
   }
 };
-
-using ParsedObs = std::vector<std::pair<ProcessorId, TimedObs>>;
 
 class SyncAgentAutomaton final : public Automaton {
  public:
@@ -106,8 +91,9 @@ class SyncAgentAutomaton final : public Automaton {
       sync.root = params_.leader;
       sync.match = MatchPolicy::kDropOrphans;
       synchronizer_.emplace(*model_, sync);
+      stats_.emplace(*model_);
       report_count_.assign(params_.epochs + 1, 0);
-      pending_obs_.resize(params_.epochs + 1);
+      pending_.resize(params_.epochs + 1);
     }
   }
 
@@ -203,36 +189,22 @@ class SyncAgentAutomaton final : public Automaton {
         .sec;
   }
 
-  // Report payload: [origin, epoch, ndirs, then per direction: peer, count,
-  // then count x (send, delay)].  The delta observations reconstruct the
-  // cumulative LinkTraffic at the leader exactly.
+  // Report payload: [origin, epoch, then the extremes payload of the
+  // observations newly inside this boundary's cut] (delaymodel/
+  // extremes.hpp).  The leader's fold of every delta is the cumulative
+  // LinkStats of the cut.
   void do_report(Context& ctx, std::size_t epoch) {
-    const ClockTime boundary = boundaries_[epoch - 1];
-    const std::vector<ReportObs> delta = estimator_.take_report(boundary);
-
-    std::vector<double> data = {static_cast<double>(self_),
-                                static_cast<double>(epoch), 0.0};
-    std::size_t ndirs = 0;
-    for (std::size_t i = 0; i < delta.size();) {
-      const ProcessorId peer = delta[i].peer;
-      std::size_t j = i;
-      while (j < delta.size() && delta[j].peer == peer) ++j;
-      data.push_back(static_cast<double>(peer));
-      data.push_back(static_cast<double>(j - i));
-      for (; i < j; ++i) {
-        data.push_back(delta[i].obs.send);
-        data.push_back(delta[i].obs.delay);
-      }
-      ++ndirs;
-    }
-    data[2] = static_cast<double>(ndirs);
-
+    ReportedExtremes delta{self_,
+                           estimator_.take_report(boundaries_[epoch - 1])};
     if (self_ == params_.leader) {
-      absorb_report(data);
+      absorb(epoch, std::move(delta));
       maybe_compute(ctx);
       if (params_.grace > Duration{0.0} && computed_through_ < epoch)
         arm(ctx, ctx.now() + params_.grace, Timer::kGrace, epoch);
     } else {
+      std::vector<double> data = {static_cast<double>(self_),
+                                  static_cast<double>(epoch)};
+      encode_extremes(delta.dirs, data);
       // Built once; every neighbor's copy shares the buffer.
       const Payload report{kTagLiveReport, data};
       for (ProcessorId nb : ctx.neighbors()) ctx.send(nb, report);
@@ -249,15 +221,22 @@ class SyncAgentAutomaton final : public Automaton {
 
   void handle_report(Context& ctx, const Message& msg) {
     // A flood duplicate is dropped on its header alone.  A first copy is
-    // read in full; a malformed one is dropped whole — not absorbed, not
+    // checked in full; a malformed one is dropped whole — not absorbed, not
     // forwarded, and not marked seen, so it cannot shadow the real report.
-    const std::optional<ReportHeader> head = read_header(msg.payload.data);
+    // Only the leader keeps the decoded records.
+    const std::span<const double> d(msg.payload.data.begin(),
+                                    msg.payload.data.size());
+    const std::optional<ReportHeader> head = read_header(d);
     if (!head || seen_reports_.contains(head->key())) return;
-    if (!read_report(msg.payload.data, nullptr)) return;
+    const bool leader = self_ == params_.leader;
+    ReportedExtremes report{head->origin, {}};
+    if (!decode_extremes(d.subspan(2), model_->processor_count(),
+                         leader ? &report.dirs : nullptr))
+      return;
     seen_reports_.insert(head->key());
 
-    if (self_ == params_.leader) {
-      absorb_report(msg.payload.data);
+    if (leader) {
+      absorb(head->epoch, std::move(report));
       maybe_compute(ctx);
     } else {
       for (ProcessorId nb : ctx.neighbors())
@@ -267,55 +246,22 @@ class SyncAgentAutomaton final : public Automaton {
 
   /// A report's (origin, epoch), checked: origin < n, 1 <= epoch <= epochs.
   std::optional<ReportHeader> read_header(std::span<const double> d) const {
-    if (d.size() < 3) return std::nullopt;
-    const auto origin = checked_field(d[0], 0, model_->processor_count() - 1);
-    const auto epoch = checked_field(d[1], 1, params_.epochs);
+    if (d.size() < 2) return std::nullopt;
+    const auto origin = wire_integer(d[0], 0, model_->processor_count() - 1);
+    const auto epoch = wire_integer(d[1], 1, params_.epochs);
     if (!origin || !epoch) return std::nullopt;
     return ReportHeader{static_cast<ProcessorId>(*origin), *epoch};
   }
 
-  /// Checks a whole report field by field — its header, peers < n, and
-  /// counts that account for the payload exactly — and, when `obs` is
-  /// non-null, appends its (peer, observation) pairs.  nullopt when any
-  /// check fails.
-  std::optional<ReportHeader> read_report(std::span<const double> d,
-                                          ParsedObs* obs) const {
-    const std::optional<ReportHeader> head = read_header(d);
-    if (!head) return std::nullopt;
-    const std::size_t n = model_->processor_count();
-    const auto ndirs = checked_field(d[2], 0, (d.size() - 3) / 2);
-    if (!ndirs) return std::nullopt;
-    std::size_t pos = 3;
-    for (std::size_t dir = 0; dir < *ndirs; ++dir) {
-      if (d.size() - pos < 2) return std::nullopt;
-      const auto peer = checked_field(d[pos], 0, n - 1);
-      const auto count = checked_field(d[pos + 1], 0, (d.size() - pos - 2) / 2);
-      if (!peer || !count) return std::nullopt;
-      pos += 2;
-      for (std::size_t i = 0; obs != nullptr && i < *count; ++i)
-        obs->emplace_back(static_cast<ProcessorId>(*peer),
-                          TimedObs{d[pos + 2 * i], d[pos + 2 * i + 1]});
-      pos += 2 * *count;
-    }
-    if (pos != d.size()) return std::nullopt;
-    return head;
-  }
-
-  /// Absorbs a report read_report accepts (the leader's own, or one
-  /// handle_report has read).
-  void absorb_report(std::span<const double> d) {
-    ParsedObs parsed;
-    const auto [origin, epoch] = read_report(d, &parsed).value();
-
+  /// Stages an accepted report (the leader's own, or one handle_report has
+  /// decoded) for its epoch's compute.
+  void absorb(std::size_t epoch, ReportedExtremes report) {
     if (epoch <= computed_through_) {
-      // The epoch was already (degraded-)computed; the late observations
-      // still join the cumulative traffic for the next boundary.
-      for (const auto& [peer, obs] : parsed)
-        traffic_.add(peer, origin, obs);
+      // The epoch was already (degraded-)computed; the late extremes
+      // still join the cumulative stats for the next boundary.
+      add_extremes(*stats_, report);
     } else {
-      auto& staged = pending_obs_[epoch];
-      for (const auto& [peer, obs] : parsed)
-        staged.emplace_back(peer, origin, obs);
+      pending_[epoch].push_back(std::move(report));
     }
     ++report_count_[epoch];
     results_->epoch(epoch).reports_absorbed = report_count_[epoch];
@@ -340,23 +286,23 @@ class SyncAgentAutomaton final : public Automaton {
   }
 
   void compute(Context& ctx, std::size_t epoch, bool degraded) {
-    // Merge staged deltas of every epoch up to this boundary, in epoch
-    // order then arrival order, into the cumulative traffic.
+    // Fold staged deltas of every epoch up to this boundary, in epoch
+    // order then arrival order, into the cumulative stats.
     for (std::size_t e = 1; e <= epoch; ++e) {
-      for (const auto& [peer, origin, obs] : pending_obs_[e])
-        traffic_.add(peer, origin, obs);
-      pending_obs_[e].clear();
+      for (const ReportedExtremes& report : pending_[e])
+        add_extremes(*stats_, report);
+      pending_[e].clear();
     }
     computed_through_ = epoch;
 
-    Digraph mls = mls_graph_from_traffic(*model_, traffic_);
+    Digraph mls = mls_graph_from_stats(*model_, *stats_);
     LiveEpoch& result = results_->epoch(epoch);
     SyncOutcome out;
     bool detected = false;
     try {
       out = synchronizer_->step_mls(std::move(mls));
     } catch (const InvalidAssumption&) {
-      // The cumulative traffic contradicts the declared delay assumptions —
+      // The cumulative stats contradict the declared delay assumptions —
       // either the bounds are wrong or someone is lying (byz/plan.hpp).
       // Treat it as a detected outage, not a crash: the epoch computes no
       // corrections, the outage is flooded so every agent acks and the
@@ -392,8 +338,8 @@ class SyncAgentAutomaton final : public Automaton {
     // A malformed frame is dropped whole: not acked, not forwarded.
     const PayloadData& d = msg.payload.data;
     if (d.size() < 4) return;
-    const auto epoch = checked_field(d[0], 1, params_.epochs);
-    if (!epoch || !checked_field(d[3], d.size() - 4, d.size() - 4)) return;
+    const auto epoch = wire_integer(d[0], 1, params_.epochs);
+    if (!epoch || !wire_integer(d[3], d.size() - 4, d.size() - 4)) return;
     if (!seen_corrections_.insert(*epoch).second) return;
     results_->ack(*epoch, self_);
     for (ProcessorId nb : ctx.neighbors())
@@ -420,10 +366,9 @@ class SyncAgentAutomaton final : public Automaton {
 
   // Leader-only state.
   std::optional<IncrementalSynchronizer> synchronizer_;
-  LinkTraffic traffic_;
+  std::optional<LinkStats> stats_;  // every report folded so far
   std::vector<std::size_t> report_count_;  // indexed by epoch, 1-based
-  std::vector<std::vector<std::tuple<ProcessorId, ProcessorId, TimedObs>>>
-      pending_obs_;
+  std::vector<std::vector<ReportedExtremes>> pending_;  // by epoch, 1-based
   std::size_t computed_through_{0};
 };
 
@@ -434,6 +379,7 @@ AutomatonFactory make_sync_agents(const SystemModel* model,
                                   LiveResults* results) {
   if (model == nullptr || results == nullptr)
     throw Error("make_sync_agents: model and results must be non-null");
+  require_extreme_sufficient(*model, "make_sync_agents");
   if (params.epochs == 0)
     throw Error("make_sync_agents: at least one epoch required");
   if (params.leader >= model->processor_count())

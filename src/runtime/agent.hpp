@@ -4,24 +4,26 @@
 // Each agent ping-pongs probes with its neighbors (every probe and echo
 // carries its send clock, so the receiver banks d̃ = T_recv − T_send per
 // incoming direction — Lemma 6.1 online, via OnlineEstimator).  At each
-// epoch boundary T_k = report_at + (k−1)·period it snapshots the boundary's
-// cumulative cut as a *delta report* (observations newly inside the cut)
-// and floods it; the leader accumulates deltas into the cumulative
-// LinkTraffic, and when it holds all n reports of epoch k it runs the same
-// pipeline tail the offline epoch driver runs — mls_graph_from_traffic
-// followed by IncrementalSynchronizer::step_mls — and floods corrections.
-// Because the cut predicate, the pairing dedup, the d̃ doubles, and the
-// pipeline entry point all match the offline path exactly, a deterministic
-// run's converged corrections equal the offline pipeline's bit-for-bit
-// (for constraints whose m̃ls depends on delays only through per-direction
-// extremes — bounds and bias; the windowed-bias m̃ls is order-sensitive
-// and matches only approximately).  docs/RUNTIME.md states the contract.
+// epoch boundary T_k = report_at + (k−1)·period it folds the observations
+// newly inside the boundary's cumulative cut into per-direction extremes
+// (a *delta report*, in the payload NetDaemon sends — delaymodel/
+// extremes.hpp) and floods it; the leader folds the deltas into one
+// cumulative LinkStats, and when it holds all n reports of epoch k it runs
+// the same pipeline tail the offline epoch driver runs —
+// mls_graph_from_stats followed by IncrementalSynchronizer::step_mls — and
+// floods corrections.  Because the cut predicate, the pairing dedup, the d̃
+// doubles, and the pipeline entry point all match the offline path
+// exactly, and min and max over the same doubles are exact, a
+// deterministic run's converged corrections equal the offline pipeline's
+// bit-for-bit.  A model with a windowed-bias link, whose m̃ls needs the
+// observation series, is refused (make_sync_agents throws).
+// docs/RUNTIME.md states the contract.
 //
 // Watchdog: with `grace` > 0 the leader arms a deadline at T_k + grace; if
 // reports are still missing when it fires, it computes from what arrived —
 // degraded coverage, possibly per-component precision — and floods the
 // (flagged) result rather than stalling the protocol forever.  Reports
-// arriving after a degraded compute still join the cumulative traffic for
+// arriving after a degraded compute still join the cumulative stats for
 // the next epoch.
 //
 // The automaton runs over Context (sim/automaton.hpp), so the same class
@@ -124,7 +126,7 @@ std::vector<ClockTime> sync_agent_boundaries(const SyncAgentParams& params);
 
 /// `model` and `results` must outlive the run.  Validates the schedule
 /// (probe phase before T_1, probes of each epoch before its boundary,
-/// grace >= 0).
+/// grace >= 0) and refuses a model that is not extreme-sufficient.
 AutomatonFactory make_sync_agents(const SystemModel* model,
                                   SyncAgentParams params,
                                   LiveResults* results);

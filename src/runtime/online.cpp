@@ -1,6 +1,7 @@
 #include "runtime/online.hpp"
 
-#include "common/error.hpp"
+#include <cmath>
+#include <map>
 
 namespace cs {
 
@@ -57,50 +58,29 @@ void OnlineViewBuilder::timer_fire(ProcessorId pid, ClockTime when,
 
 void OnlineEstimator::ingest(ProcessorId peer, MessageId msg,
                              ClockTime send_clock, ClockTime recv_clock) {
+  if (!std::isfinite(recv_clock.sec - send_clock.sec)) return;
   if (!seen_.insert(msg).second) return;  // redelivery: keep the earliest
-  Banked banked;
-  banked.obs.send = send_clock.sec;
-  banked.obs.delay = recv_clock.sec - send_clock.sec;
-  banked.recv = recv_clock.sec;
-  incoming_[peer].push_back(banked);
-  ++total_;
+  pending_.push_back(Banked{peer, send_clock.sec, recv_clock.sec});
 }
 
-std::vector<ReportObs> OnlineEstimator::take_report(ClockTime boundary) {
-  std::vector<ReportObs> out;
-  for (auto& [peer, list] : incoming_) {
-    for (Banked& banked : list) {
-      if (banked.reported) continue;
-      if (!(banked.obs.send < boundary.sec && banked.recv < boundary.sec))
-        continue;
-      banked.reported = true;
-      out.push_back(ReportObs{peer, banked.obs});
-    }
+std::vector<DirectionExtremes> OnlineEstimator::take_report(
+    ClockTime boundary) {
+  std::map<ProcessorId, DirectedStats> delta;
+  std::size_t kept = 0;
+  for (const Banked& banked : pending_) {
+    if (banked.send < boundary.sec && banked.recv < boundary.sec)
+      delta[banked.peer].add(banked.recv - banked.send);
+    else
+      pending_[kept++] = banked;
   }
+  pending_.resize(kept);
+
+  std::vector<DirectionExtremes> out;
+  out.reserve(delta.size());
+  for (const auto& [peer, stats] : delta)
+    out.push_back(DirectionExtremes{peer, stats.dmin.finite(),
+                                    stats.dmax.finite(), stats.count});
   return out;
-}
-
-DirectedStats OnlineEstimator::stats(ProcessorId peer) const {
-  DirectedStats stats;
-  const auto it = incoming_.find(peer);
-  if (it == incoming_.end()) return stats;
-  for (const Banked& banked : it->second) stats.add(banked.obs.delay);
-  return stats;
-}
-
-DirectedStats OnlineEstimator::window_stats(ProcessorId peer,
-                                            ClockTime boundary,
-                                            Duration window) const {
-  if (window <= Duration{0.0})
-    throw Error("OnlineEstimator::window_stats: window must be positive");
-  DirectedStats stats;
-  const auto it = incoming_.find(peer);
-  if (it == incoming_.end()) return stats;
-  const double from = (boundary - window).sec;
-  for (const Banked& banked : it->second)
-    if (banked.recv >= from && banked.recv < boundary.sec)
-      stats.add(banked.obs.delay);
-  return stats;
 }
 
 }  // namespace cs

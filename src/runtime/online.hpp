@@ -16,25 +16,20 @@
 // iff *both* its send clock and its receive clock are < T.  take_report(T)
 // applies exactly that predicate — not "observations that arrived before
 // my report timer fired", which can disagree with the prefix cut by one
-// event when clock arithmetic lands within an ulp of the boundary.  Each
-// observation is reported once (cumulative cuts ⇒ delta reports); the
-// leader accumulates the deltas, which reconstructs the cumulative
-// LinkTraffic of every epoch.
-//
-// Staleness: running extremes never expire under the paper's drift-free
-// clocks (d̃min only tightens).  window_stats() is the bounded-memory /
-// drift-aware variant — extremes over observations received in
-// [T − window, T) — matching the offline sliding-window mode
-// (EpochOptions::window); see docs/RUNTIME.md for the semantics.
+// event when clock arithmetic lands within an ulp of the boundary.  The
+// observations newly inside the cut are folded into per-direction
+// extremes (the Lemma 6.2/6.5 sufficient statistic, delaymodel/
+// extremes.hpp) and forgotten; the leader folds every agent's delta
+// extremes into the cumulative LinkStats of each epoch, which min and max
+// reproduce exactly.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_set>
 #include <vector>
 
-#include "delaymodel/link_stats.hpp"
+#include "delaymodel/extremes.hpp"
 #include "model/view.hpp"
 
 namespace cs {
@@ -58,48 +53,32 @@ class OnlineViewBuilder {
   std::vector<View> views_;
 };
 
-/// One reported (or reportable) delay observation.
-struct ReportObs {
-  ProcessorId peer{0};  ///< the sender: direction is peer -> self
-  TimedObs obs;         ///< send clock + estimated delay d̃
-};
-
 /// One agent's incoming-direction estimator.
 class OnlineEstimator {
  public:
-  /// Bank one probe observation.  Duplicate message ids (a transport may
-  /// redeliver) are ignored — keep-earliest, mirroring kDropOrphans.
+  /// Bank one probe observation on direction peer -> self.  Duplicate
+  /// message ids (a transport may redeliver) are ignored — keep-earliest,
+  /// mirroring kDropOrphans — and so is a non-finite d̃, which no clock
+  /// reading yields but a forged stamp can.
   void ingest(ProcessorId peer, MessageId msg, ClockTime send_clock,
               ClockTime recv_clock);
 
-  /// Observations inside the cumulative epoch cut at `boundary` (send < T
-  /// and recv < T, the View::prefix × kDropOrphans predicate) that no
-  /// earlier take_report() returned.  Deterministic order: by direction
-  /// (peer ascending), then ingest order.
-  std::vector<ReportObs> take_report(ClockTime boundary);
-
-  /// Running per-direction extremes over everything ingested (live
-  /// diagnostics; never expires).
-  DirectedStats stats(ProcessorId peer) const;
-
-  /// Extremes restricted to observations *received* in
-  /// [boundary − window, boundary) — the staleness-windowed view of a
-  /// direction.  A direction silent for a full window reports count 0.
-  DirectedStats window_stats(ProcessorId peer, ClockTime boundary,
-                             Duration window) const;
-
-  std::size_t total_observations() const { return total_; }
+  /// Extremes of the observations inside the cumulative epoch cut at
+  /// `boundary` (send < T and recv < T, the View::prefix × kDropOrphans
+  /// predicate) that no earlier take_report() folded: one record per
+  /// direction that has any, peer ascending.  Those observations are then
+  /// forgotten.
+  std::vector<DirectionExtremes> take_report(ClockTime boundary);
 
  private:
   struct Banked {
-    TimedObs obs;
+    ProcessorId peer{0};
+    double send{0.0};
     double recv{0.0};
-    bool reported{false};
   };
 
-  std::map<ProcessorId, std::vector<Banked>> incoming_;
+  std::vector<Banked> pending_;  // not yet inside a reported cut
   std::unordered_set<MessageId> seen_;
-  std::size_t total_{0};
 };
 
 }  // namespace cs

@@ -50,6 +50,18 @@ TEST(ByzPlanGrammar, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_byz_plan("lie-const f=1 mag=0.1 from=5 until=2"),
                Error);
   EXPECT_THROW(parse_byz_plan("none extra"), Error);
+  // Numbers read with the trace reader's grammar (docs/TRACE.md §1): ids,
+  // counts and the seed are unsigned decimal integers, and no NaN or hex.
+  EXPECT_THROW(parse_byz_plan("lie-const agents=1.5 mag=0.01"), Error);
+  EXPECT_THROW(parse_byz_plan("lie-const agents=4294967296 mag=0.01"),
+               Error);
+  EXPECT_THROW(parse_byz_plan("lie-const f=1 mag=nan"), Error);
+  EXPECT_THROW(parse_byz_plan("lie-const f=0x1 mag=0.1"), Error);
+  EXPECT_THROW(parse_byz_plan("lie-const f=1.5 mag=0.1"), Error);
+  EXPECT_THROW(parse_byz_plan("lie-const f=1 mag=0.1 seed=-1"), Error);
+  EXPECT_THROW(parse_byz_plan("lie-const f=1 mag=0.1 seed=0xB12A"), Error);
+  EXPECT_EQ(parse_byz_plan("lie-const f=1 mag=0.1 seed=45354").seed,
+            0xB12Au);
 }
 
 TEST(ByzPlanResolve, ExplicitAgentsOutOfRangeThrow) {

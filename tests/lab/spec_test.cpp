@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "lab/spec.hpp"
@@ -107,6 +108,28 @@ TEST(CampaignSpec, DiagnosticsCarryLineNumbers) {
                          "faults drop 0.1 crash 4294967296 1 2\n")
                 .find("line 3: '4294967296' is not a valid processor id"),
             std::string::npos);
+  // Numbers read with the trace reader's grammar (docs/TRACE.md §1): no
+  // sign on a count, no NaN or hex, and no seed count past 32 bits, which
+  // would wrap onto a small one.
+  const std::pair<const char*, const char*> rows[] = {
+      {"seeds -1", "'-1' is not a valid count"},
+      {"seeds 4294967297", "'4294967297' is not a valid count"},
+      {"seeds 4294967296", "'4294967296' is not a valid count"},
+      {"seed -1", "'-1' is not a valid seed"},
+      {"skew nan", "'nan' is not a valid skew"},
+      {"skew 0x1p-3", "'0x1p-3' is not a valid skew"},
+      {"skew +0.1", "'+0.1' is not a valid skew"},
+  };
+  for (const auto& [line, message] : rows)
+    EXPECT_NE(expect_error(std::string("chronosync-campaign v1\n") + line +
+                           "\n")
+                  .find(std::string("line 2: ") + message),
+              std::string::npos)
+        << line;
+  EXPECT_EQ(parse("chronosync-campaign v1\nseeds 4294967295\n"
+                  "topology ring 3\nmix bounds 0.001 0.002\n")
+                .seeds_per_cell,
+            4294967295u);
 }
 
 TEST(CampaignSpec, ExpandIsTheDeclarationOrderOdometer) {

@@ -182,6 +182,15 @@ TEST(TopoSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_topo_spec("er 10"), Error);
   EXPECT_THROW(parse_topo_spec("er 10 huh"), Error);
   EXPECT_THROW(parse_topo_spec("dc 2 3"), Error);
+  // Numbers read with the trace reader's grammar (docs/TRACE.md §1): the
+  // whole token, no sign on a size, no NaN.
+  EXPECT_THROW(parse_topo_spec("er 10 0.5abc"), Error);
+  EXPECT_THROW(parse_topo_spec("er 10 nan"), Error);
+  EXPECT_THROW(parse_topo_spec("er 10 0x1p-1"), Error);
+  EXPECT_THROW(parse_topo_spec("ring +5"), Error);
+  EXPECT_THROW(parse_topo_spec("ring -5"), Error);
+  EXPECT_THROW(parse_topo_spec("toroid 3x+5"), Error);
+  EXPECT_DOUBLE_EQ(parse_topo_spec("er 10 0.5").p, 0.5);
 }
 
 TEST(TopoSpec, RejectsInvalidParameters) {

@@ -9,11 +9,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
 #include "common/error.hpp"
+#include "delaymodel/windowed_bias.hpp"
 #include "net/server.hpp"
 #include "support/builders.hpp"
 
@@ -48,29 +50,56 @@ TEST(ExtremesCodec, RoundTripsAndRejectsMalformedPayloads) {
       {3, 0.1, 0.1, 1},
       {7, -0.5, 2.25, 123456789},
   };
-  const std::vector<double> payload = encode_extremes(dirs);
+  std::vector<double> payload;
+  encode_extremes(dirs, payload);
   std::vector<DirectionExtremes> back;
-  ASSERT_TRUE(decode_extremes(payload, back));
+  ASSERT_TRUE(decode_extremes(payload, 8, &back));
   EXPECT_EQ(back, dirs);
+  EXPECT_TRUE(decode_extremes(payload, 8, nullptr));  // check only
+
+  // Encoding appends, so a header can precede the payload.
+  std::vector<double> framed = {2.0, 1.0};
+  encode_extremes(dirs, framed);
+  EXPECT_EQ(std::vector<double>(framed.begin() + 2, framed.end()), payload);
 
   // Empty report: zero directions is legal.
+  std::vector<double> empty;
+  encode_extremes({}, empty);
   std::vector<DirectionExtremes> none;
-  ASSERT_TRUE(decode_extremes(encode_extremes({}), none));
+  ASSERT_TRUE(decode_extremes(empty, 8, &none));
   EXPECT_TRUE(none.empty());
 
   // Malformed: truncated payload, count/length mismatch, absurd count.
   std::vector<double> torn(payload.begin(), payload.end() - 1);
-  EXPECT_FALSE(decode_extremes(torn, back));
+  EXPECT_FALSE(decode_extremes(torn, 8, &back));
+  EXPECT_TRUE(back.empty());
   EXPECT_FALSE(decode_extremes(std::vector<double>{2.0, 1.0, 0.0, 0.0, 1.0},
-                               back));
-  EXPECT_FALSE(decode_extremes(std::vector<double>{1e18}, back));
-  EXPECT_FALSE(decode_extremes(std::vector<double>{}, back));
-  // A peer of 2^32 would narrow onto peer 0.
+                               8, &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1e18}, 8, &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{}, 8, &back));
+  // A peer of 2^32 would narrow onto peer 0; a peer of n is no agent.
   EXPECT_FALSE(decode_extremes(
-      std::vector<double>{1.0, 4294967296.0, 0.001, 0.002, 1.0}, back));
+      std::vector<double>{1.0, 4294967296.0, 0.001, 0.002, 1.0}, 8, &back));
+  EXPECT_FALSE(decode_extremes(payload, 7, &back));
   // 1 + 4·count wraps to 1 for this count, which matches the length.
-  EXPECT_FALSE(decode_extremes(std::vector<double>{4.611686018427388e18},
-                               back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{4.611686018427388e18}, 8,
+                               &back));
+
+  // Poisoned extremes: NaN, d̃min > d̃max, infinities, and a direction
+  // with no observation.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1, 1, nan, nan, 1}, 8,
+                               &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1, 1, 0.5, 0.1, 1}, 8,
+                               &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1, 1, -inf, inf, 0}, 8,
+                               &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1, 1, -inf, 0.1, 1}, 8,
+                               &back));
+  EXPECT_FALSE(decode_extremes(std::vector<double>{1, 1, 0.1, 0.2, 0}, 8,
+                               &back));
+  EXPECT_TRUE(back.empty());
 }
 
 TEST(NetDaemonConfigValidation, RejectsMalformedSetups) {
@@ -120,6 +149,19 @@ TEST(NetDaemonConfigValidation, RejectsMalformedSetups) {
     NetDaemonConfig config = good();
     config.base = realtime_now() - 100.0;
     EXPECT_THROW(NetDaemon{config}, Error);
+  }
+  {  // a windowed-bias link needs the series no extremes report carries
+    SystemModel windowed = test::bounded_model(make_complete(3), 0.0, 0.05);
+    windowed.set_constraint(make_windowed_bias(1, 2, 0.01, 0.5));
+    NetDaemonConfig config = good();
+    config.model = &windowed;
+    try {
+      NetDaemon daemon{config};
+      ADD_FAILURE() << "a windowed-bias model was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("link 1-2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // SyncAgent's control frames — reports and corrections — are read field by
 // field before any value becomes an integer.  A frame with a NaN, negative,
-// fractional, huge or out-of-range field, or with counts that do not
-// account for its doubles, is dropped whole: not absorbed, not forwarded,
-// not acked.  Over UDP any local process can send such a frame.
+// fractional, huge or out-of-range field, with counts that do not account
+// for its doubles, or with poisoned extremes (non-finite, d̃min > d̃max, no
+// observation) is dropped whole: not absorbed, not forwarded, not acked.
+// Over UDP any local process can send such a frame.  And a model whose
+// m̃ls needs the observation series is refused before any agent runs.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+#include "delaymodel/windowed_bias.hpp"
 #include "runtime/agent.hpp"
 #include "support/builders.hpp"
 
@@ -84,9 +88,9 @@ class LiveControlFrames : public ::testing::Test {
 
 // Origin 2's epoch-1 report: one direction (3 -> 2) with one observation.
 // Integer fields sit at 0 (origin), 1 (epoch), 2 (ndirs), 3 (peer) and
-// 4 (count).
-const std::vector<double> kReport = {2, 1, 1, 3, 1, 0.25, 0.01};
-const std::vector<std::size_t> kReportFields = {0, 1, 2, 3, 4};
+// 6 (count); the extremes d̃min and d̃max at 4 and 5.
+const std::vector<double> kReport = {2, 1, 1, 3, 0.01, 0.01, 1};
+const std::vector<std::size_t> kReportFields = {0, 1, 2, 3, 6};
 
 // Epoch-1 corrections for four agents; integer fields at 0 (epoch) and
 // 3 (count).
@@ -132,13 +136,20 @@ TEST_F(LiveControlFrames, HostileReportFieldIsNeitherForwardedNorAbsorbed) {
 }
 
 TEST_F(LiveControlFrames, OutOfRangeReportIsNeitherForwardedNorAbsorbed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::pair<std::size_t, double>> rows = {
-      {0, 4.0},  // origin == n
-      {1, 0.0},  // epochs are 1-based
-      {1, 3.0},  // past the last epoch
-      {2, 2.0},  // more directions than the payload holds
-      {3, 4.0},  // peer == n
-      {4, 2.0},  // more observations than the payload holds
+      {0, 4.0},   // origin == n
+      {1, 0.0},   // epochs are 1-based
+      {1, 3.0},   // past the last epoch
+      {2, 2.0},   // more directions than the payload holds
+      {3, 4.0},   // peer == n
+      {4, nan},   // poisoned extremes: NaN,
+      {5, nan},
+      {4, -inf},  // infinite,
+      {5, inf},
+      {4, 0.5},   // d̃min > d̃max,
+      {6, 0.0},   // and a direction with no observation
   };
   for (const auto& [field, value] : rows) {
     std::vector<double> frame = kReport;
@@ -169,6 +180,21 @@ TEST_F(LiveControlFrames, HostileCorrectionsFieldIsNeitherForwardedNorAcked) {
     }
   }
   EXPECT_EQ(results_.epoch(1).acks, 0u);
+}
+
+TEST(SyncAgentSetup, WindowedBiasLinkIsRefused) {
+  // An extremes report cannot carry the series a windowed-bias m̃ls needs.
+  SystemModel model = test::bounded_model(make_complete(4), 0.001, 0.05);
+  model.set_constraint(make_windowed_bias(1, 3, 0.01, 0.5));
+  SyncAgentParams params;
+  LiveResults results(4, params);
+  try {
+    make_sync_agents(&model, params, &results);
+    ADD_FAILURE() << "a windowed-bias model was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("link 1-3"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

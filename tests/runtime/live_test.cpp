@@ -297,6 +297,27 @@ TEST(LiveUdp, EightAgentsOverRealSocketsStayWithinTheBound) {
   expect_realized_within_bound(report);
 }
 
+TEST(LiveUdp, ReportFitsOneDatagramAtAnyProbeCount) {
+  // 320 rounds at 1 ms bank 4,480 observations per agent before T_1.  A
+  // report is per-direction extremes, 31 doubles on complete-8 however
+  // many probes ran, so every report fits one datagram and the run
+  // converges.
+  SystemModel model = test::bounded_model(make_complete(8), 0.0, 1.0);
+  LiveConfig config;
+  config.transport = LiveTransportKind::kUdp;
+  config.agent.rounds = 320;
+  config.agent.warmup = Duration{0.05};
+  config.agent.spacing = Duration{0.001};
+  config.agent.report_at = Duration{0.6};
+  config.agent.period = Duration{1.0};
+  config.agent.epochs = 1;
+  config.deadline = Duration{10.0};
+
+  const LiveReport report = run_live(model, config);
+  ASSERT_TRUE(report.converged) << "timed_out=" << report.timed_out;
+  expect_realized_within_bound(report);
+}
+
 TEST(LiveResync, DriftBudgetClampsThePeriodAndKeepsCoverage) {
   // rho 100 ppm, slack 0.1 ms -> max re-sync interval 0.5 s.  The default
   // 1 s x 1-epoch schedule violates it, so run_live must clamp the period

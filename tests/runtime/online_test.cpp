@@ -1,9 +1,11 @@
 // OnlineEstimator and OnlineViewBuilder unit tests: the epoch-cut
 // predicate must agree with the offline View::prefix × kDropOrphans
-// semantics, duplicates must be ignored keep-earliest, and the windowed
-// stats must expire silent directions.
+// semantics, a later cut must report only its delta, duplicates must be
+// ignored keep-earliest, and the report lists directions peer ascending.
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "runtime/online.hpp"
 
@@ -18,13 +20,16 @@ TEST(OnlineEstimator, BanksExtremesPerDirection) {
   est.ingest(1, 11, ct(0.1), ct(0.112));
   est.ingest(2, 12, ct(0.2), ct(0.290));
 
-  const DirectedStats from1 = est.stats(1);
-  EXPECT_EQ(from1.count, 2u);
-  EXPECT_DOUBLE_EQ(from1.dmin.finite(), 0.012);
-  EXPECT_DOUBLE_EQ(from1.dmax.finite(), 0.030);
-  EXPECT_EQ(est.stats(2).count, 1u);
-  EXPECT_EQ(est.stats(3).count, 0u);
-  EXPECT_EQ(est.total_observations(), 3u);
+  const std::vector<DirectionExtremes> report = est.take_report(ct(1.0));
+  ASSERT_EQ(report.size(), 2u);
+  EXPECT_EQ(report[0].peer, 1u);
+  EXPECT_EQ(report[0].count, 2u);
+  // The exact doubles the estimator computes, d̃ = recv − send.
+  EXPECT_EQ(report[0].dmin, 0.112 - 0.1);
+  EXPECT_EQ(report[0].dmax, 0.030 - 0.0);
+  EXPECT_EQ(report[1].peer, 2u);
+  EXPECT_EQ(report[1].count, 1u);
+  EXPECT_EQ(report[1].dmin, report[1].dmax);
 }
 
 TEST(OnlineEstimator, DuplicateMessageIdsKeepEarliest) {
@@ -33,9 +38,24 @@ TEST(OnlineEstimator, DuplicateMessageIdsKeepEarliest) {
   // A redelivery of the same message id with a later (larger d̃) stamp
   // must not widen the extremes.
   est.ingest(1, 10, ct(0.0), ct(0.500));
-  EXPECT_EQ(est.stats(1).count, 1u);
-  EXPECT_DOUBLE_EQ(est.stats(1).dmax.finite(), 0.020);
-  EXPECT_EQ(est.total_observations(), 1u);
+  const std::vector<DirectionExtremes> report = est.take_report(ct(1.0));
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].count, 1u);
+  EXPECT_EQ(report[0].dmax, 0.020);
+  // The id stays seen after its observation is reported and forgotten.
+  est.ingest(1, 10, ct(1.5), ct(1.9));
+  EXPECT_TRUE(est.take_report(ct(2.0)).empty());
+}
+
+TEST(OnlineEstimator, NonFiniteDelayIsNotBanked) {
+  OnlineEstimator est;
+  est.ingest(1, 10, ct(std::numeric_limits<double>::quiet_NaN()), ct(0.5));
+  est.ingest(1, 11, ct(-std::numeric_limits<double>::infinity()), ct(0.5));
+  est.ingest(1, 12, ct(0.1), ct(0.15));
+  const std::vector<DirectionExtremes> report = est.take_report(ct(1.0));
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].count, 1u);
+  EXPECT_EQ(report[0].dmin, 0.15 - 0.1);
 }
 
 TEST(OnlineEstimator, TakeReportAppliesThePrefixCut) {
@@ -44,54 +64,37 @@ TEST(OnlineEstimator, TakeReportAppliesThePrefixCut) {
   est.ingest(1, 11, ct(0.95), ct(1.05));  // recv >= 1: orphaned at T=1
   est.ingest(1, 12, ct(1.00), ct(1.10));  // send == T: strictly-before fails
 
-  const std::vector<ReportObs> cut1 = est.take_report(ct(1.0));
+  const std::vector<DirectionExtremes> cut1 = est.take_report(ct(1.0));
   ASSERT_EQ(cut1.size(), 1u);
   EXPECT_EQ(cut1[0].peer, 1u);
-  EXPECT_DOUBLE_EQ(cut1[0].obs.send, 0.10);
+  EXPECT_EQ(cut1[0].count, 1u);
+  EXPECT_EQ(cut1[0].dmin, 0.15 - 0.10);
 
   // The next cumulative cut reports only the delta: the two observations
   // that crossed the T=1 boundary, not the one already reported.
-  const std::vector<ReportObs> cut2 = est.take_report(ct(2.0));
-  ASSERT_EQ(cut2.size(), 2u);
-  EXPECT_DOUBLE_EQ(cut2[0].obs.send, 0.95);
-  EXPECT_DOUBLE_EQ(cut2[1].obs.send, 1.00);
+  const std::vector<DirectionExtremes> cut2 = est.take_report(ct(2.0));
+  ASSERT_EQ(cut2.size(), 1u);
+  EXPECT_EQ(cut2[0].count, 2u);
+  EXPECT_EQ(cut2[0].dmin, std::min(1.05 - 0.95, 1.10 - 1.00));
+  EXPECT_EQ(cut2[0].dmax, std::max(1.05 - 0.95, 1.10 - 1.00));
 
   EXPECT_TRUE(est.take_report(ct(3.0)).empty());
 }
 
-TEST(OnlineEstimator, TakeReportOrdersByPeerThenIngest) {
+TEST(OnlineEstimator, TakeReportOrdersByPeer) {
   OnlineEstimator est;
   est.ingest(3, 20, ct(0.3), ct(0.35));
   est.ingest(1, 21, ct(0.1), ct(0.15));
-  est.ingest(3, 22, ct(0.2), ct(0.25));
+  est.ingest(3, 22, ct(0.2), ct(0.26));
 
-  const std::vector<ReportObs> cut = est.take_report(ct(1.0));
-  ASSERT_EQ(cut.size(), 3u);
+  const std::vector<DirectionExtremes> cut = est.take_report(ct(1.0));
+  ASSERT_EQ(cut.size(), 2u);
   EXPECT_EQ(cut[0].peer, 1u);
+  EXPECT_EQ(cut[0].count, 1u);
   EXPECT_EQ(cut[1].peer, 3u);
-  EXPECT_DOUBLE_EQ(cut[1].obs.send, 0.3);  // ingest order within peer
-  EXPECT_EQ(cut[2].peer, 3u);
-  EXPECT_DOUBLE_EQ(cut[2].obs.send, 0.2);
-}
-
-TEST(OnlineEstimator, WindowStatsExpireSilentDirections) {
-  OnlineEstimator est;
-  est.ingest(1, 10, ct(0.10), ct(0.15));
-  est.ingest(1, 11, ct(2.00), ct(2.04));
-
-  // Window [1.1, 2.1): only the second observation was received inside.
-  const double d2 = 2.04 - 2.00;  // the exact double the estimator computes
-  const DirectedStats recent = est.window_stats(1, ct(2.1), Duration{1.0});
-  EXPECT_EQ(recent.count, 1u);
-  EXPECT_DOUBLE_EQ(recent.dmin.finite(), d2);
-
-  // Window [4, 5): the direction has gone silent entirely.
-  EXPECT_EQ(est.window_stats(1, ct(5.0), Duration{1.0}).count, 0u);
-
-  // The running (never-expiring) extremes still cover everything.
-  EXPECT_EQ(est.stats(1).count, 2u);
-  EXPECT_DOUBLE_EQ(est.stats(1).dmin.finite(), d2);
-  EXPECT_DOUBLE_EQ(est.stats(1).dmax.finite(), 0.15 - 0.10);
+  EXPECT_EQ(cut[1].count, 2u);
+  EXPECT_EQ(cut[1].dmin, 0.35 - 0.3);
+  EXPECT_EQ(cut[1].dmax, 0.26 - 0.2);
 }
 
 TEST(OnlineViewBuilder, AppendsEventsPerProcessor) {

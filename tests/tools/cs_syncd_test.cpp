@@ -204,6 +204,26 @@ TEST(CsSyncdCli, LiveRejectsBadTransport) {
   EXPECT_EQ(run("--transport carrier-pigeon").exit_code, 2);
 }
 
+TEST(CsSyncdCli, WindowedBiasModelIsRefused) {
+  // Both agent modes send per-direction extremes, which cannot carry the
+  // observation series a windowed-bias link's m̃ls needs: exit 3, naming
+  // the link.
+  const std::string model_path = ::testing::TempDir() + "/cs_syncd_wbias.model";
+  {
+    std::ofstream out(model_path);
+    out << "chronosync-model v1\nprocessors 3\nlink 0 1 bounds 0 1\n"
+           "link 0 2 bounds 0 1\nlink 1 2 wbias 0.01 0.5\n";
+  }
+  const RunResult live = run("--model " + model_path + " --epochs 1");
+  EXPECT_EQ(live.exit_code, 3) << live.output;
+  EXPECT_NE(live.output.find("link 1-2"), std::string::npos) << live.output;
+  const RunResult peers =
+      run("--peers 127.0.0.1:0,127.0.0.1:0,127.0.0.1:0 --id 1 --model " +
+          model_path + " --deadline 0.2");
+  EXPECT_EQ(peers.exit_code, 3) << peers.output;
+  EXPECT_NE(peers.output.find("link 1-2"), std::string::npos) << peers.output;
+}
+
 TEST(CsSyncdCli, LiveRejectsNegativeGrace) {
   // A negative grace would silently disable the leader watchdog.
   const RunResult r = run("--n 4 --epochs 1 --grace -5");

@@ -269,11 +269,11 @@ int cmd_peers(const Args& args) {
            std::to_string(report.ambiguous_dropped);
     out += ", \"extremes\": [";
     for (std::size_t i = 0; i < report.collected.size(); ++i) {
-      const net::ReportedExtremes& r = report.collected[i];
+      const ReportedExtremes& r = report.collected[i];
       if (i > 0) out += ", ";
       out += "{\"agent\": " + std::to_string(r.agent) + ", \"dirs\": [";
       for (std::size_t j = 0; j < r.dirs.size(); ++j) {
-        const net::DirectionExtremes& d = r.dirs[j];
+        const DirectionExtremes& d = r.dirs[j];
         if (j > 0) out += ", ";
         out += "[" + std::to_string(d.peer) + ", " + jnum(d.dmin) + ", " +
                jnum(d.dmax) + ", " + std::to_string(d.count) + "]";
