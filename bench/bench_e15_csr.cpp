@@ -169,7 +169,11 @@ void arm_json(std::ostringstream& out, const std::string& indent,
       << indent << "    \"global_estimates\": "
       << stage_sum(arm.metrics, "stage.global_estimates_seconds") << ",\n"
       << indent << "    \"shifts\": "
-      << stage_sum(arm.metrics, "stage.shifts_seconds") << "\n"
+      << stage_sum(arm.metrics, "stage.shifts_seconds") << ",\n"
+      << indent << "    \"cycle_mean\": "
+      << stage_sum(arm.metrics, "stage.cycle_mean_seconds") << ",\n"
+      << indent << "    \"corrections\": "
+      << stage_sum(arm.metrics, "stage.corrections_seconds") << "\n"
       << indent << "  },\n"
       << indent << "  \"apsp\": {\n"
       << indent << "    \"incremental_updates\": " << incr << ",\n"

@@ -35,7 +35,8 @@ double realized_precision(std::span<const RealTime> starts,
 
 /// Guaranteed precision ρ̄ of corrections x given the m̃s estimate matrix.
 /// +inf if any pair with infinite m̃s exists (n >= 2); 0 for n <= 1.
-/// Throws InvalidExecution on size mismatch or NaN corrections.
+/// Throws InvalidExecution on size mismatch, NaN corrections or a NaN
+/// m̃s(p, q) off the diagonal (named, and refused before any +inf return).
 ExtReal guaranteed_precision(const DistanceMatrix& ms_estimates,
                              std::span<const double> x);
 
@@ -46,5 +47,26 @@ ExtReal guaranteed_precision(const DistanceMatrix& ms_estimates,
 /// skipped (skipping the pair wholesale under-reports worst-case skew).
 double guaranteed_precision_finite(const DistanceMatrix& ms_estimates,
                                    std::span<const double> x);
+
+/// Row p's share of ρ̄(x) over an n-column row-major row.
+struct RowSkew {
+  /// max over q != p with m̃s(p,q) != +inf of (m̃s(p,q) − x_p) + x_q, folded
+  /// as max = term > max ? term : max from −inf, so a NaN term leaves it.
+  double max;
+  /// Some folded term is NaN.
+  bool unordered;
+  /// Some m̃s(p, q), q != p, is +inf (no term for it is folded).
+  bool infinite;
+};
+
+/// The one ρ̄(x) row kernel, shared by guaranteed_precision* and the SHIFTS
+/// certificate: two entries at a time with SSE2, the scalar loop for the
+/// tail and for the whole row elsewhere, both evaluating the same IEEE
+/// operations, so `max` is the scalar fold's value.  Only a zero maximum
+/// can come out with the other sign, which no caller sees: ρ̄(x) folds the
+/// rows from +0 and the certificate only compares.  `x` holds n
+/// corrections; the diagonal entry row[p] is never read.
+RowSkew row_skew(const double* row, const double* x, std::size_t p,
+                 std::size_t n);
 
 }  // namespace cs

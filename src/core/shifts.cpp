@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/pool.hpp"
+#include "core/precision.hpp"
 #include "graph/arena.hpp"
 
 namespace cs {
@@ -23,37 +29,110 @@ Digraph finite_ms_graph(const DistanceMatrix& ms) {
   return g;
 }
 
+/// One pass over the whole matrix: refuses a NaN anywhere (relaxations and
+/// cycle-mean maxima all evaluate false on one, so it would poison the
+/// result silently) and reports whether every off-diagonal entry is
+/// finite, i.e. the instance is bounded.
+bool bounded_or_refuse_nan(const DistanceMatrix& ms) {
+  const std::size_t n = ms.size();
+  bool nan = false, infinite = false;
+  for (std::size_t p = 0; p < n; ++p) {
+    const double* row = ms.data() + p * n;
+    nan |= std::isnan(row[p]);
+    for (const ColumnRange c : off_diagonal(p, n)) {
+      std::size_t q = c.lo;
+#if defined(__SSE2__)
+      const __m128d inf = _mm_set1_pd(kInfDist);
+      __m128d unordered = _mm_setzero_pd();
+      __m128d infinity = _mm_setzero_pd();
+      for (; q + 2 <= c.hi; q += 2) {
+        const __m128d m = _mm_loadu_pd(row + q);
+        unordered = _mm_or_pd(unordered, _mm_cmpunord_pd(m, m));
+        infinity = _mm_or_pd(infinity, _mm_cmpeq_pd(m, inf));
+      }
+      nan |= _mm_movemask_pd(unordered) != 0;
+      infinite |= _mm_movemask_pd(infinity) != 0;
+#endif
+      for (; q < c.hi; ++q) {
+        nan |= std::isnan(row[q]);
+        infinite |= row[q] == kInfDist;
+      }
+    }
+  }
+  if (nan) throw Error("compute_shifts: m̃s matrix carries NaN entries");
+  return !infinite;
+}
+
 /// Thm 4.6 corrections within one component of k >= 2 members: distances
-/// from `root` under w(i,j) = a_max − ms(i,j) over the compacted block
-/// `ms` (row-major k x k).  One dense Dijkstra on the Johnson reweighting
+/// from `root` under w(i,j) = a_max − ms(i,j) over the row-major k x k
+/// block `ms`.  One dense Dijkstra on the Johnson reweighting
 /// w(i,j) + v_i − v_j >= 0, Howard's converged value vector v being the
 /// potential: nodes settle in order of the reduced key dist − v, while the
 /// distances themselves accumulate in w, so each is the float sum of w
 /// along its shortest-path tree path.  O(k²).
+///
+/// A row relaxes two entries at a time: SSE2 minpd(c, d) is exactly the
+/// select c < d ? c : d, and a settled lane keeps its distance through the
+/// all-ones/zero `unsettled` mask (u itself is settled first, so the diagonal
+/// never acts).  The next node is the first open j of least key: the
+/// least key m comes from a lane-wise min, then the first j with key == m,
+/// which is what the strict key < best scan picks (== treats -0 and +0
+/// alike; settled and NaN keys never equal m).
 std::span<double> shortest_path_corrections(const double* ms, std::size_t k,
                                             std::size_t root, double a_max,
                                             std::span<const double> v,
                                             EpochArena& arena) {
   std::span<double> dist = arena.alloc_fill<double>(k, kInfDist);
-  std::span<std::uint8_t> settled = arena.alloc_fill<std::uint8_t>(k, 0);
+  std::span<double> key = arena.alloc<double>(k);
+  std::span<std::uint64_t> unsettled =
+      arena.alloc_fill<std::uint64_t>(k, ~0ull);
   dist[root] = 0.0;
   for (std::size_t u = root; u < k;) {
-    settled[u] = 1;
-    const double du = dist[u];
+    unsettled[u] = 0;
+    const double base = dist[u] + a_max;
     const double* row = ms + u * k;
-    std::size_t next = k;
-    double next_key = kInfDist;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (settled[j] != 0) continue;
-      const double cand = du + a_max - row[j];
-      if (cand < dist[j]) dist[j] = cand;
-      const double key = dist[j] - v[j];
-      if (key < next_key) {
-        next_key = key;
-        next = j;
-      }
+    double least = kInfDist;
+    std::size_t j = 0;
+#if defined(__SSE2__)
+    const __m128d b = _mm_set1_pd(base);
+    const __m128d inf = _mm_set1_pd(kInfDist);
+    __m128d acc = inf;
+    for (; j + 2 <= k; j += 2) {
+      const __m128d live = _mm_castsi128_pd(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&unsettled[j])));
+      const __m128d d = _mm_loadu_pd(&dist[j]);
+      const __m128d relaxed =
+          _mm_min_pd(_mm_sub_pd(b, _mm_loadu_pd(row + j)), d);
+      const __m128d nd =
+          _mm_or_pd(_mm_and_pd(live, relaxed), _mm_andnot_pd(live, d));
+      _mm_storeu_pd(&dist[j], nd);
+      const __m128d kj = _mm_or_pd(
+          _mm_and_pd(live, _mm_sub_pd(nd, _mm_loadu_pd(&v[j]))),
+          _mm_andnot_pd(live, inf));
+      _mm_storeu_pd(&key[j], kj);
+      acc = _mm_min_pd(kj, acc);  // kj < acc ? kj : acc
     }
-    u = next;
+    alignas(16) double lane[2];
+    _mm_store_pd(lane, acc);
+    least = lane[1] < lane[0] ? lane[1] : lane[0];
+#endif
+    for (; j < k; ++j) {
+      if (unsettled[j] == 0) {
+        key[j] = kInfDist;
+        continue;
+      }
+      const double cand = base - row[j];
+      if (cand < dist[j]) dist[j] = cand;
+      key[j] = dist[j] - v[j];
+      if (key[j] < least) least = key[j];
+    }
+    u = k;
+    if (least < kInfDist)
+      for (j = 0; j < k; ++j)
+        if (key[j] == least) {
+          u = j;
+          break;
+        }
   }
   return dist;
 }
@@ -112,7 +191,10 @@ PolicyCycle heaviest_policy_cycle(const double* ms, std::size_t k,
 /// Lower: θ's mean >= a_max − ε, which holds for every x because x cancels
 /// around a cycle.  Thm 4.4 gives ρ̄(x) >= A^max >= θ's mean, so passing
 /// certifies |a_max − A^max| <= ε and ρ̄(x) <= A^max + 2ε: the cycle mean
-/// is right and x optimal.  The negated comparisons catch NaN.
+/// is right and x optimal.  The negated comparisons catch NaN.  The upper
+/// half takes each row's maximum from row_skew; a row that fails (or holds
+/// a NaN term or a +inf entry) is rescanned term by term for the first
+/// failing pair, so the verdict and the message are the per-term loop's.
 void check_certificate(const double* ms, std::size_t k,
                        std::span<const double> x, double a_max,
                        double epsilon, const std::vector<NodeId>& members,
@@ -130,6 +212,8 @@ void check_certificate(const double* ms, std::size_t k,
   const double bound = a_max + epsilon;
   for (std::size_t i = 0; i < k; ++i) {
     const double* row = ms + i * k;
+    const RowSkew r = row_skew(row, x.data(), i, k);
+    if (r.max <= bound && !r.unordered && !r.infinite) continue;
     for (std::size_t j = 0; j < k; ++j) {
       if (i == j) continue;
       const double skew = row[j] - x[i] + x[j];
@@ -159,11 +243,13 @@ NodeId warm_local_index(const std::vector<NodeId>& members,
   return static_cast<NodeId>(it - members.begin());
 }
 
-/// Solves one finiteness component: Howard over the compacted k x k m̃s
-/// block, then the Dijkstra corrections on its potential.  Writes only this
-/// component's slices of `res` (disjoint across components), so components
-/// may be solved concurrently with byte-identical output.
-void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
+/// Solves one finiteness component: Howard over its k x k m̃s block, then
+/// the Dijkstra corrections on its potential.  Writes only this component's
+/// slices of `res` (disjoint across components), so components may be
+/// solved concurrently with byte-identical output.  `bounded` says the
+/// component is the whole matrix with every off-diagonal entry finite.
+void solve_component(const DistanceMatrix& ms, bool bounded,
+                     const ShiftsOptions& options,
                      const std::vector<NodeId>& members, std::size_t c,
                      ShiftsResult& res, EpochArena& arena) {
   const std::size_t n = ms.size();
@@ -172,25 +258,30 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
     res.corrections[members[0]] = 0.0;
     return;
   }
-  // The m̃s entries between component members are all finite (strong
-  // connectivity of the finite graph + the matrix being a shortest-path
-  // closure); compact them into a dense block so the kernels run off flat
-  // rows.
-  std::span<double> w = arena.alloc<double>(k * k);
-  for (std::size_t i = 0; i < k; ++i) {
-    double* wi = w.data() + i * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) {
-        wi[j] = 0.0;
-        continue;
+  // A bounded instance's block is the matrix itself: the kernels read its
+  // rows in place and never its diagonal.  Otherwise the m̃s entries between
+  // component members are all finite (strong connectivity of the finite
+  // graph + the matrix being a shortest-path closure); compact them into a
+  // dense block so the kernels run off flat rows.
+  const double* w = ms.data();
+  if (!bounded) {
+    std::span<double> block = arena.alloc<double>(k * k);
+    for (std::size_t i = 0; i < k; ++i) {
+      double* wi = block.data() + i * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (i == j) {
+          wi[j] = 0.0;
+          continue;
+        }
+        const double ms_ij = ms.at(members[i], members[j]);
+        if (ms_ij == kInfDist)
+          throw Error(
+              "compute_shifts: m̃s matrix is not a shortest-path "
+              "closure (finite component with infinite entry)");
+        wi[j] = ms_ij;
       }
-      const double ms_ij = ms.at(members[i], members[j]);
-      if (ms_ij == kInfDist)
-        throw Error(
-            "compute_shifts: m̃s matrix is not a shortest-path "
-            "closure (finite component with infinite entry)");
-      wi[j] = ms_ij;
     }
+    w = block.data();
   }
   // Warm policy mapped into the component's local indices; entries
   // pointing outside this component fall back to greedy.
@@ -202,8 +293,13 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
           members, res.components, c, (*options.warm_policy)[members[i]], n);
   }
   std::span<NodeId> policy_local = arena.alloc<NodeId>(k);
-  const HowardDenseResult hr = max_cycle_mean_howard_dense(
-      w.data(), k, warm_local, policy_local, arena, options.metrics);
+  HowardDenseResult hr;
+  {
+    auto timer =
+        Metrics::scoped(options.metrics, "stage.cycle_mean_seconds");
+    hr = max_cycle_mean_howard_dense(w, k, warm_local, policy_local, arena,
+                                     options.metrics);
+  }
   // The kernel has already counted the exit in metrics; an unconverged
   // mean may undershoot and its values are no potential, so it never
   // reaches the corrections.
@@ -216,6 +312,7 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
   for (std::size_t i = 0; i < k; ++i)
     res.policy[members[i]] = members[policy_local[i]];
 
+  auto timer = Metrics::scoped(options.metrics, "stage.corrections_seconds");
   // Per-component root: the global root if it lives here, else the
   // smallest member (gauge choice only).
   const std::size_t root =
@@ -226,14 +323,12 @@ void solve_component(const DistanceMatrix& ms, const ShiftsOptions& options,
                 members.begin())
           : 0;
   const std::span<const double> x =
-      shortest_path_corrections(w.data(), k, root, a_max, hr.value, arena);
-  PolicyCycle theta =
-      heaviest_policy_cycle(w.data(), k, policy_local, members, arena);
-  check_certificate(w.data(), k, x, a_max, shifts_epsilon(a_max), members,
-                    theta);
+      shortest_path_corrections(w, k, root, a_max, hr.value, arena);
+  PolicyCycle theta = heaviest_policy_cycle(w, k, policy_local, members, arena);
+  check_certificate(w, k, x, a_max, shifts_epsilon(a_max), members, theta);
   for (std::size_t i = 0; i < k; ++i) res.corrections[members[i]] = x[i];
   // A bounded instance is one component, so only it writes θ.
-  if (res.components.component_count == 1)
+  if (bounded)
     res.critical_cycle = std::move(theta.nodes);
 }
 
@@ -244,26 +339,14 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   const std::size_t n = ms.size();
   if (n == 0) throw Error("compute_shifts: empty instance");
   if (options.root >= n) throw Error("compute_shifts: root out of range");
-  // NaN entries poison every downstream comparison silently (relaxations
-  // and cycle-mean maxima all evaluate false), so reject them up front.
-  for (std::size_t p = 0; p < n; ++p)
-    for (std::size_t q = 0; q < n; ++q)
-      if (std::isnan(ms.at(p, q)))
-        throw Error("compute_shifts: m̃s matrix carries NaN entries");
   Metrics* metrics = options.metrics;
   auto timer = Metrics::scoped(metrics, "stage.shifts_seconds");
+  const bool bounded = bounded_or_refuse_nan(ms);
 
   ShiftsResult res;
   res.corrections.assign(n, 0.0);
 
-  bool all_finite = true;
-  for (std::size_t p = 0; p < n && all_finite; ++p)
-    for (std::size_t q = 0; q < n; ++q)
-      if (p != q && ms.at(p, q) == kInfDist) {
-        all_finite = false;
-        break;
-      }
-  if (all_finite) {
+  if (bounded) {
     // Bounded instance: one finiteness component holding every processor.
     // Skipping the graph build + Tarjan here keeps the per-epoch hot path
     // of the incremental pipeline O(n^2) outside the cycle mean itself.
@@ -276,8 +359,6 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
   res.component_a_max.assign(groups.size(), 0.0);
   res.policy.assign(n, kNoPolicyEdge);
 
-  const bool bounded = groups.size() == 1;
-
   if (options.threads != 1 && groups.size() > 1) {
     // Components are independent: disjoint result slices, private arenas,
     // a thread-safe metrics sink — byte-identical for any worker count.
@@ -287,7 +368,8 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
         groups.size(),
         [&](std::size_t c) {
           EpochArena worker_arena;
-          solve_component(ms, options, groups[c], c, res, worker_arena);
+          solve_component(ms, bounded, options, groups[c], c, res,
+                          worker_arena);
         },
         pool);
   } else {
@@ -295,7 +377,7 @@ ShiftsResult compute_shifts(const DistanceMatrix& ms,
     EpochArena& arena = options.arena != nullptr ? *options.arena : local;
     if (options.arena != nullptr) options.arena->reset();
     for (std::size_t c = 0; c < groups.size(); ++c)
-      solve_component(ms, options, groups[c], c, res, arena);
+      solve_component(ms, bounded, options, groups[c], c, res, arena);
   }
 
   if (bounded) {

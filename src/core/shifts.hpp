@@ -98,10 +98,12 @@ struct ShiftsOptions {
   Metrics* metrics{nullptr};
 
   /// Scratch arena for the dense cycle-mean kernel and correction
-  /// distances (weight block, policy/value vectors).  The call reset()s it
-  /// on entry and leaves its allocations dead on exit.  nullptr = the call
-  /// uses a private arena (still no per-component heap churn, but capacity
-  /// is not retained across epochs).
+  /// distances (policy/value vectors, and the weight block of each
+  /// component of an unbounded instance; a bounded instance is read in
+  /// place).  The call reset()s it on entry and leaves its allocations
+  /// dead on exit.  nullptr = the call uses a private arena (still no
+  /// per-component heap churn, but capacity is not retained across
+  /// epochs).
   EpochArena* arena{nullptr};
 
   /// Worker threads for per-component solves on unbounded instances.

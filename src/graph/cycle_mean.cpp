@@ -4,9 +4,88 @@
 #include <cassert>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "graph/arena.hpp"
+#include "graph/distance_matrix.hpp"
 
 namespace cs {
+namespace {
+
+constexpr double kTol = 1e-12;
+
+/// Greedy initial successor of v: the first strict maximum of w[v][j] over
+/// j != v, scanned j-ascending from `first` = (v == 0) ? 1 : 0, as the
+/// edge-list oracle's out[v] scan behaves.  Taken in two steps that pick
+/// the same j: the row maximum m two lanes at a time, seeded with
+/// w[v][first] so a NaN there stays the answer (nothing compares above
+/// it), then the first j != v equal to m (== treats -0 and +0 alike, as
+/// the strict > does).  A NaN elsewhere never wins either way.
+std::size_t greedy_successor(const double* wv, std::size_t v, std::size_t k) {
+  const std::size_t first = (v == 0) ? 1 : 0;
+  double m = wv[first];
+  for (const ColumnRange r : off_diagonal(v, k)) {
+    std::size_t j = r.lo;
+#if defined(__SSE2__)
+    __m128d acc = _mm_set1_pd(m);
+    for (; j + 2 <= r.hi; j += 2)
+      acc = _mm_max_pd(_mm_loadu_pd(wv + j), acc);  // x > acc ? x : acc
+    alignas(16) double lane[2];
+    _mm_store_pd(lane, acc);
+    m = lane[1] > lane[0] ? lane[1] : lane[0];
+#endif
+    for (; j < r.hi; ++j) m = wv[j] > m ? wv[j] : m;
+  }
+  for (const ColumnRange r : off_diagonal(v, k))
+    for (std::size_t j = r.lo; j < r.hi; ++j)
+      if (wv[j] == m) return j;
+  return first;  // m is NaN: w[v][first] was
+}
+
+/// Stage 2 over the successors j in [lo, hi) of an unfiltered row v, in
+/// ascending j: candidate (w[v][j] − η_v) + value[j] is accepted when it
+/// beats best + tol, and best rises.  Two lanes are compared against the
+/// threshold of the pair's start; since the threshold only rises, a pair
+/// whose lanes both miss it holds no accepted candidate, and a pair where
+/// one beats it is replayed lane by lane with the scalar rule.  The
+/// candidates are the same two IEEE operations either way (no FMA: the
+/// build targets none), so the accepted j sequence is the scalar scan's.
+bool improve_range(const double* wv, const double* value, double eta_v,
+                   ColumnRange r, double& best, NodeId& succ) {
+  bool moved = false;
+  std::size_t j = r.lo;
+#if defined(__SSE2__)
+  const __m128d eta = _mm_set1_pd(eta_v);
+  __m128d threshold = _mm_set1_pd(best + kTol);
+  for (; j + 2 <= r.hi; j += 2) {
+    const __m128d cand = _mm_add_pd(_mm_sub_pd(_mm_loadu_pd(wv + j), eta),
+                                    _mm_loadu_pd(value + j));
+    if (_mm_movemask_pd(_mm_cmpgt_pd(cand, threshold)) == 0) continue;
+    alignas(16) double lane[2];
+    _mm_store_pd(lane, cand);
+    for (std::size_t l = 0; l < 2; ++l)
+      if (lane[l] > best + kTol) {
+        best = lane[l];
+        succ = static_cast<NodeId>(j + l);
+        moved = true;
+      }
+    threshold = _mm_set1_pd(best + kTol);
+  }
+#endif
+  for (; j < r.hi; ++j) {
+    const double cand = wv[j] - eta_v + value[j];
+    if (cand > best + kTol) {
+      best = cand;
+      succ = static_cast<NodeId>(j);
+      moved = true;
+    }
+  }
+  return moved;
+}
+
+}  // namespace
 
 HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
                                               std::span<const NodeId> warm,
@@ -15,7 +94,6 @@ HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
                                               Metrics* metrics) {
   assert(k >= 2 && policy.size() == k);
   assert(warm.empty() || warm.size() == k);
-  constexpr double kTol = 1e-12;
   if (!warm.empty())
     metrics_increment(metrics, "cycle_mean.howard_warm_starts");
 
@@ -28,13 +106,7 @@ HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
       policy[v] = warm[v];
       continue;
     }
-    std::size_t best = (v == 0) ? 1 : 0;
-    const double* wv = w + v * k;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (j == v) continue;
-      if (wv[j] > wv[best]) best = j;
-    }
-    policy[v] = static_cast<NodeId>(best);
+    policy[v] = static_cast<NodeId>(greedy_successor(w + v * k, v, k));
   }
 
   std::span<double> eta = arena.alloc_fill<double>(k, 0.0);
@@ -125,11 +197,16 @@ HowardDenseResult max_cycle_mean_howard_dense(const double* w, std::size_t k,
           continue;
         }
       }
-      const bool filter = eta_lo < eta[v] - kTol;
       double best_val = arc_w(v) - eta[v] + value[policy[v]];
+      if (!(eta_lo < eta[v] - kTol)) {
+        for (const ColumnRange r : off_diagonal(v, k))
+          improved |= improve_range(wv, value.data(), eta[v], r, best_val,
+                                    policy[v]);
+        continue;
+      }
       for (std::size_t j = 0; j < k; ++j) {
         if (j == v) continue;
-        if (filter && eta[j] < eta[v] - kTol) continue;
+        if (eta[j] < eta[v] - kTol) continue;
         const double cand = wv[j] - eta[v] + value[j];
         if (cand > best_val + kTol) {
           best_val = cand;

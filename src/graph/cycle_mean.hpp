@@ -13,11 +13,13 @@
 //
 // A finiteness component's m̃s entries form a COMPLETE weighted graph, so
 // the kernel runs straight off a row-major k x k weight matrix (diagonal
-// ignored) with all scratch in an EpochArena.  The greedy initialization
+// never read) with all scratch in an EpochArena.  The greedy initialization
 // and the two-stage improvement scan successors in ascending index
 // skipping the diagonal — exactly the j-ascending edge order of a complete
 // subgraph built row by row — so the edge-list oracle reproduces its
-// policies bit for bit.
+// policies bit for bit.  The greedy start and the unfiltered stage-2 rows
+// compare two successors at a time with SSE2 where available and keep the
+// scalar scan's selections (docs/THEORY.md, "Two lanes at a time").
 #pragma once
 
 #include <span>

@@ -3,6 +3,7 @@
 // consumes them (core/shifts.hpp).
 #pragma once
 
+#include <array>
 #include <limits>
 #include <vector>
 
@@ -26,6 +27,9 @@ class DistanceMatrix {
   double& at(std::size_t i, std::size_t j) { return d_[i * n_ + j]; }
   double at(std::size_t i, std::size_t j) const { return d_[i * n_ + j]; }
 
+  /// The row-major storage: row i is data() + i * size().
+  const double* data() const { return d_.data(); }
+
   /// Re-initializes to the n-node identity matrix (+inf off-diagonal),
   /// reusing the existing buffer when the size matches — the per-epoch
   /// rebuild path re-fills in place instead of reallocating.
@@ -39,5 +43,17 @@ class DistanceMatrix {
   std::size_t n_{0};
   std::vector<double> d_;
 };
+
+/// A half-open column range [lo, hi) of one matrix row.
+struct ColumnRange {
+  std::size_t lo, hi;
+};
+
+/// The columns of row p of an n-column matrix other than p itself, in
+/// ascending order: a row scan over both ranges never touches the
+/// diagonal, whatever the diagonal holds.
+inline std::array<ColumnRange, 2> off_diagonal(std::size_t p, std::size_t n) {
+  return {ColumnRange{0, p}, ColumnRange{p + 1, n}};
+}
 
 }  // namespace cs

@@ -194,6 +194,8 @@ TEST(IncrementalPipeline, EpochalDriverMatchesFromScratch) {
     EXPECT_GE(metrics.counter("apsp.incremental_updates"), 1u);
     EXPECT_NE(metrics.series("stage.global_estimates_seconds"), nullptr);
     EXPECT_NE(metrics.series("stage.shifts_seconds"), nullptr);
+    EXPECT_NE(metrics.series("stage.cycle_mean_seconds"), nullptr);
+    EXPECT_NE(metrics.series("stage.corrections_seconds"), nullptr);
   }
 }
 

@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/precision.hpp"
+#include "core/synchronizer.hpp"
+#include "graph/topology.hpp"
+#include "support/builders.hpp"
 
 namespace cs {
 namespace {
@@ -78,6 +85,18 @@ TEST(Shifts, GuaranteedPrecisionEqualsAMax) {
   const ShiftsResult r = compute_shifts(m);
   const ExtReal rho = guaranteed_precision(m, r.corrections);
   EXPECT_NEAR(rho.finite(), r.a_max.finite(), 1e-12);
+  // SHIFTS reads a bounded matrix in place, diagonal and all; whatever the
+  // diagonal holds, the instance stays bounded and no output moves a bit.
+  for (const double diagonal : {kInfDist, 1e300, -1e300}) {
+    DistanceMatrix d = m;
+    for (std::size_t p = 0; p < 3; ++p) d.at(p, p) = diagonal;
+    const ShiftsResult rd = compute_shifts(d);
+    ASSERT_TRUE(rd.bounded()) << diagonal;
+    EXPECT_EQ(rd.a_max.finite(), r.a_max.finite()) << diagonal;
+    EXPECT_EQ(rd.corrections, r.corrections) << diagonal;
+    EXPECT_EQ(rd.critical_cycle, r.critical_cycle) << diagonal;
+    EXPECT_EQ(guaranteed_precision(d, rd.corrections).finite(), rho.finite());
+  }
 }
 
 TEST(Shifts, RootChoiceIsGaugeOnly) {
@@ -153,6 +172,82 @@ TEST(Shifts, NonFiniteEstimateThrowsInsteadOfGarbageCorrections) {
   m.at(1, 2) = std::numeric_limits<double>::quiet_NaN();
   m.at(2, 1) = 0.1;
   EXPECT_THROW(compute_shifts(m), Error);
+}
+
+TEST(Shifts, NonClosureComponentIsRefused) {
+  // 0 -> 1 -> 2 -> 0 are finite arcs, so the finite m̃s graph is one
+  // strongly connected component holding all three processors, yet
+  // m̃s(0, 2) = +inf: no shortest-path closure looks like this.  The
+  // instance is unbounded, so SHIFTS compacts the component (never reads
+  // the matrix in place) and must refuse it there.
+  DistanceMatrix m(3);
+  m.at(0, 1) = 0.3;
+  m.at(1, 2) = 0.2;
+  m.at(2, 0) = 0.4;
+  m.at(1, 0) = 0.5;
+  m.at(2, 1) = 0.1;
+  try {
+    compute_shifts(m);
+    FAIL() << "a non-closure component was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a shortest-path closure"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// FNV-1a over the bit patterns of `values`.
+std::uint64_t bit_digest(const std::vector<double>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const double d : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(Shifts, RingEpochInstanceIsPinnedBitForBit) {
+  // The benchmark's ring-epoch instance (ring-256, bounds [1, 50] ms, four
+  // ping-pong rounds, start skew up to 0.5 s): SHIFTS at k = 256, where
+  // every two-lane pass runs full rows, in place on the bounded matrix.
+  // Ã^max, θ and the corrections were recorded before those passes were
+  // vectorized; they must not move by one bit.
+  struct Pin {
+    std::uint64_t seed;
+    double a_max;
+    std::vector<NodeId> theta;
+    std::uint64_t corrections;
+  };
+  const std::vector<Pin> pins{
+      {1, 0x1.7ccccb26f0ba1p-2,
+       {125, 249, 120, 243, 113, 236, 107, 230, 100, 224, 92,  220, 86, 212,
+        79,  203, 69,  201, 64,  193, 59,  185, 52,  180, 44,  172, 39, 164,
+        31,  159, 24,  155, 19,  149, 14,  145, 10,  136, 5,   130, 254},
+       0x3884d17185c668c5ull},
+      {7919, 0x1.58fd6906f9ad4p-2,
+       {6,   130, 11,  133, 15,  138, 19,  142, 23,  145, 26,  149, 31,
+        153, 37,  159, 41,  164, 45,  169, 50,  174, 56,  181, 62,  187,
+        64,  189, 68,  192, 72,  197, 74,  202, 80,  209, 83,  216, 88,
+        222, 91,  226, 97,  232, 101, 237, 106, 240, 110, 247, 114, 252,
+        118, 255, 123, 3,   128},
+       0xf0aae2124f5438aeull},
+  };
+  for (const Pin& pin : pins) {
+    const SystemModel model =
+        test::bounded_model(make_ring(256), 0.001, 0.050);
+    const SimResult sim = test::run_ping_pong(model, pin.seed, 0.5, 4);
+    const SyncOutcome out = synchronize(model, sim.execution.views());
+    ASSERT_TRUE(out.bounded()) << "seed " << pin.seed;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.optimal_precision.finite()),
+              std::bit_cast<std::uint64_t>(pin.a_max))
+        << "seed " << pin.seed;
+    EXPECT_EQ(out.critical_cycle, pin.theta) << "seed " << pin.seed;
+    EXPECT_EQ(bit_digest(out.corrections), pin.corrections)
+        << "seed " << pin.seed;
+  }
 }
 
 TEST(Shifts, FloatNoiseCycleAbsorbedInOneTolerantPass) {

@@ -159,15 +159,17 @@ TEST_P(CycleMeanRandom, HowardMatchesKarpOnDenseGraphs) {
 
 TEST_P(CycleMeanRandom, HowardDenseMatchesGraphHowardExactly) {
   // The dense SHIFTS kernel skips improvement scans that cannot change the
-  // policy; its policies and means must still equal the edge-list
-  // iteration's bit for bit, cold and warm-started.  Integer weights make
-  // ties, and with them multi-chain policies, common.
+  // policy and runs its greedy start and stage-2 scan two lanes at a time;
+  // its policies and means must still equal the edge-list iteration's bit
+  // for bit, cold and warm-started.  Integer weights make ties, and with
+  // them multi-chain policies, common.  Past the first six trials: k = 2
+  // and 3 (no full lane pair on one side of the diagonal), odd k up to 67
+  // (a scalar tail in every row), and a diagonal of 1e300, which no lane
+  // may act on (SHIFTS hands a bounded matrix over with its own diagonal).
   Rng rng(GetParam() * 131 + 9);
   EpochArena arena;
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t k = 2 + rng.uniform_int(40);
-    const bool ties = trial % 2 == 0;
-    std::vector<double> w(k * k, 0.0);
+  const auto check = [&](std::size_t k, bool ties, double diagonal) {
+    std::vector<double> w(k * k, diagonal);
     Digraph g(k);
     for (NodeId p = 0; p < k; ++p)
       for (NodeId q = 0; q < k; ++q) {
@@ -189,17 +191,27 @@ TEST_P(CycleMeanRandom, HowardDenseMatchesGraphHowardExactly) {
       const HowardResult graph =
           max_cycle_mean_howard_warm(g, warm ? &seed : nullptr);
       ASSERT_TRUE(dense.converged && graph.converged && graph.mean);
-      EXPECT_EQ(dense.mean, *graph.mean) << "k " << k << " warm " << warm;
-      EXPECT_EQ(policy, graph.policy) << "k " << k << " warm " << warm;
+      EXPECT_EQ(dense.mean, *graph.mean)
+          << "k " << k << " warm " << warm << " diagonal " << diagonal;
+      EXPECT_EQ(policy, graph.policy)
+          << "k " << k << " warm " << warm << " diagonal " << diagonal;
       // The value vector is a feasible potential for the mean.
       ASSERT_EQ(dense.value.size(), k);
       for (std::size_t p = 0; p < k; ++p)
-        for (std::size_t q = 0; q < k; ++q)
-          if (p != q)
-            EXPECT_LE(w[p * k + q] + dense.value[q] - dense.value[p],
-                      dense.mean + 1e-9);
+        for (std::size_t q = 0; q < k; ++q) {
+          if (p == q) continue;
+          EXPECT_LE(w[p * k + q] + dense.value[q] - dense.value[p],
+                    dense.mean + 1e-9);
+        }
     }
-  }
+  };
+  for (int trial = 0; trial < 6; ++trial)
+    check(2 + rng.uniform_int(40), trial % 2 == 0, 0.0);
+  for (const bool ties : {true, false})
+    for (const std::size_t k :
+         {std::size_t{2}, std::size_t{3}, std::size_t{67},
+          5 + 2 * rng.uniform_int(31)})
+      check(k, ties, 1e300);
 }
 
 TEST(CycleMean, HowardHandlesSelfLoopsAndComponents) {
